@@ -20,6 +20,7 @@ from .ingest import (
     parse_poker_log,
     parse_rummy_log,
 )
+from .metrics import METRICS
 from .records import parse_timestamp
 from .report import atomic_write, build_manifest, write_reports
 from .simgen import ConfigInvalid, SimConfig, simulate
@@ -42,6 +43,16 @@ EXIT_DATA = 3
 EXIT_COHORT = 4
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; anything else exits with 2."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cardskill",
@@ -57,14 +68,14 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("paths", nargs="+")
     pa.add_argument("--game", choices=["poker", "rummy"], required=True)
     pa.add_argument("--table-size", type=int, choices=[2, 3, 6], default=6)
-    pa.add_argument("--min-games", type=int, default=30)
-    pa.add_argument("--max-games", type=int, default=100)
-    pa.add_argument("--bin-width", type=int, default=10)
-    pa.add_argument("--metric", default="win_rate",
+    pa.add_argument("--min-games", type=_int_at_least(1), default=30)
+    pa.add_argument("--max-games", type=_int_at_least(1), default=100)
+    pa.add_argument("--bin-width", type=_int_at_least(1), default=10)
+    pa.add_argument("--metric", choices=sorted(METRICS), default="win_rate",
                     help="skill variable for persistence and learning tests")
     pa.add_argument("--split-date", default=None, metavar="YYYY-MM",
                     help="period boundary; default: month nearest midpoint")
-    pa.add_argument("--quantile-groups", type=int, default=None,
+    pa.add_argument("--quantile-groups", type=_int_at_least(2), default=None,
                     help="default: 10 for poker, 4 for rummy")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", required=True, metavar="DIR")
@@ -167,8 +178,8 @@ def cmd_analyze(args) -> int:
             cohort, metric=args.metric, bin_width=args.bin_width,
             trend_epsilon=thresholds["trend_epsilon"],
         )
-        rates = {u: sum(1 for o in tl.outcomes if o.won) / len(tl.outcomes)
-                 for u, tl in cohort.items()}
+        win_rate = METRICS["win_rate"]
+        rates = {u: win_rate(tl.outcomes) for u, tl in cohort.items()}
         normality = qq_test(
             [rates[u] for u in sorted(rates)],
             threshold_r2=thresholds["threshold_r2"],

@@ -1,8 +1,9 @@
-"""Streaming CSV ingestion and timeline assembly.
+"""CSV ingestion and timeline assembly.
 
-Parsers read row by row in bounded memory; rows failing validation are
-counted and sampled (first 20 structured errors with line numbers), never
-fatal. Only a bad header aborts a parse.
+Parsers read the CSV row by row and return every accepted record in one
+list, so memory grows with the log. Rows failing validation are counted
+and sampled (first 20 structured errors with line numbers), never fatal.
+Only a bad header aborts a parse.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .records import (
     POKER_COLUMNS,
     RUMMY_COLUMNS,
-    Outcome,
     PlayerTimeline,
     PokerHandRecord,
     Record,
@@ -173,22 +173,3 @@ def filter_min_games(
         kept[user_id] = tl
     return kept
 
-
-def merge_timeline_maps(a: TimelineMap, b: TimelineMap) -> TimelineMap:
-    """Merge partial maps from parallel parses; associative and commutative."""
-    merged: TimelineMap = {}
-    for src in (a, b):
-        for bucket, players in src.items():
-            dst = merged.setdefault(bucket, {})
-            for user_id, tl in players.items():
-                if user_id in dst:
-                    combined = list(dst[user_id].outcomes) + list(tl.outcomes)
-                    combined.sort(key=lambda o: (o.timestamp, o.key, o.sort_minor))
-                    dst[user_id] = PlayerTimeline(
-                        user_id=user_id,
-                        table_size=bucket,
-                        outcomes=tuple(combined),
-                    )
-                else:
-                    dst[user_id] = tl
-    return merged

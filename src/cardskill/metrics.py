@@ -1,8 +1,9 @@
 """Skill variables and derived statistics computed from player timelines.
 
-Covers the per-player trajectories (cumulative win probability, binned
-blind amounts won/lost, tightness, BB/100), the rummy skill variables,
-and the quantile machinery (tie-averaged ranks, percentile positions,
+Covers the per-window metric registry (METRICS) that the statistical
+tests and the CLI compute every skill variable with, the per-player
+trajectories (cumulative win probability, binned blind amounts won/lost,
+tightness, BB/100), the rummy skill variables, and the quantile machinery (tie-averaged ranks, percentile positions,
 inverse normal CDF, standardization) that feeds the QQ normality test.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .records import Outcome, PlayerTimeline
 
@@ -57,6 +58,64 @@ class DomainError(MetricError):
 
 WON = "Won"
 LOST = "Lost"
+
+
+# ---------------------------------------------------------------------------
+# Per-window metric functions. Each maps a slice of outcomes to a value,
+# or None when the metric is undefined on that slice (e.g. no losses).
+
+def _win_rate(outcomes: Sequence[Outcome]) -> Optional[float]:
+    return sum(1 for o in outcomes if o.won) / len(outcomes)
+
+
+def _bb_per_100(outcomes: Sequence[Outcome]) -> Optional[float]:
+    return 100.0 * sum(o.value_delta for o in outcomes) / len(outcomes)
+
+
+def _avg_points_lost_losing(outcomes: Sequence[Outcome]) -> Optional[float]:
+    losses = [-o.value_delta for o in outcomes if not o.won]
+    return sum(losses) / len(losses) if losses else None
+
+
+def _avg_win_magnitude(outcomes: Sequence[Outcome]) -> Optional[float]:
+    wins = [o.value_delta for o in outcomes if o.value_delta > 0]
+    return sum(wins) / len(wins) if wins else None
+
+
+def _avg_loss_magnitude(outcomes: Sequence[Outcome]) -> Optional[float]:
+    losses = [-o.value_delta for o in outcomes if o.value_delta < 0]
+    return sum(losses) / len(losses) if losses else None
+
+
+def _tightness(outcomes: Sequence[Outcome]) -> Optional[float]:
+    flags = [o.voluntary_entry for o in outcomes]
+    if any(f is None for f in flags):
+        return None
+    return 1.0 - sum(1 for f in flags if f) / len(flags)
+
+
+def _net_positive(outcomes: Sequence[Outcome]) -> Optional[float]:
+    return 1.0 if sum(o.value_delta for o in outcomes) > 0 else 0.0
+
+
+METRICS: Dict[str, Callable[[Sequence[Outcome]], Optional[float]]] = {
+    "win_rate": _win_rate,
+    "bb_per_100": _bb_per_100,
+    "avg_points_lost_losing": _avg_points_lost_losing,
+    "avg_blind_lost": _avg_loss_magnitude,
+    "tightness": _tightness,
+    "net_positive_share": _net_positive,
+}
+
+# +1: larger is better (Improving when rising); -1: smaller is better.
+METRIC_POLARITY: Dict[str, int] = {
+    "win_rate": +1,
+    "bb_per_100": +1,
+    "avg_points_lost_losing": -1,
+    "avg_blind_lost": -1,
+    "tightness": +1,
+    "net_positive_share": +1,
+}
 
 
 @dataclass(frozen=True)
@@ -113,17 +172,25 @@ def avg_blind_amount(
     outcomes = _require_outcomes(timeline)
     if any(o.voluntary_entry is None for o in outcomes):
         raise NotPoker("blind amounts are defined for poker timelines only")
+    mean = _avg_win_magnitude if side == WON else _avg_loss_magnitude
     points = []
     for b in range(0, len(outcomes), bin_width):
-        chunk = outcomes[b : b + bin_width]
-        if side == WON:
-            vals = [o.value_delta for o in chunk if o.value_delta > 0]
-        else:
-            vals = [-o.value_delta for o in chunk if o.value_delta < 0]
-        if vals:
-            points.append((b // bin_width + 1, sum(vals) / len(vals)))
+        value = mean(outcomes[b : b + bin_width])
+        if value is not None:
+            points.append((b // bin_width + 1, value))
     name = "AvgBlindWon" if side == WON else "AvgBlindLost"
     return SkillSeries(name, tuple(points), timeline.user_id)
+
+
+def _window(
+    outcomes: Sequence[Outcome], window: Optional[Tuple[int, int]]
+) -> Sequence[Outcome]:
+    if window is None:
+        return outcomes
+    start, stop = window
+    if not (0 <= start < stop <= len(outcomes)):
+        raise EmptyWindow(f"window {window} out of bounds for n={len(outcomes)}")
+    return outcomes[start:stop]
 
 
 def bb_per_100(
@@ -133,31 +200,17 @@ def bb_per_100(
     outcomes = _require_outcomes(timeline)
     if any(o.voluntary_entry is None for o in outcomes):
         raise NotPoker("BB/100 is defined for poker timelines only")
-    if window is not None:
-        start, stop = window
-        if not (0 <= start < stop <= len(outcomes)):
-            raise EmptyWindow(f"window {window} out of bounds for n={len(outcomes)}")
-        outcomes = outcomes[start:stop]
-    if not outcomes:
-        raise EmptyWindow("window contains no hands")
-    return 100.0 * sum(o.value_delta for o in outcomes) / len(outcomes)
+    return _bb_per_100(_window(outcomes, window))
 
 
 def tightness(
     timeline: PlayerTimeline, window: Optional[Tuple[int, int]] = None
 ) -> float:
     """1 - VPIP: the fraction of hands the player stayed out of voluntarily."""
-    outcomes = _require_outcomes(timeline)
-    if window is not None:
-        start, stop = window
-        if not (0 <= start < stop <= len(outcomes)):
-            raise EmptyWindow(f"window {window} out of bounds for n={len(outcomes)}")
-        outcomes = outcomes[start:stop]
-    flags = [o.voluntary_entry for o in outcomes]
-    if any(f is None for f in flags):
+    value = _tightness(_window(_require_outcomes(timeline), window))
+    if value is None:
         raise MissingVoluntaryEntry("timeline lacks voluntary_entry flags")
-    vpip = sum(1 for f in flags if f) / len(flags)
-    return 1.0 - vpip
+    return value
 
 
 def rummy_skill_variables(
@@ -187,15 +240,6 @@ def rummy_skill_variables(
         )
     avg_opp = sum(opp_points) / len(opp_points)
     return win_rate, avg_lost, avg_opp
-
-
-def opponent_loss_view(records, user_id: str) -> Dict[str, List[float]]:
-    """Build the opponents_view for one player from a full rummy record set."""
-    view: Dict[str, List[float]] = {}
-    for rec in records:
-        if rec.user_id != user_id and not rec.is_winner:
-            view.setdefault(rec.deal_id, []).append(float(rec.loss_points))
-    return view
 
 
 def rank_average(values: Sequence[float]) -> List[float]:

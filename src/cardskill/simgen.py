@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .records import (
     RUMMY_COLUMNS,
     Outcome,
     PlayerTimeline,
+    _fmt,
     format_timestamp,
     parse_timestamp,
 )
@@ -209,6 +210,11 @@ def _planted(config: SimConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def ground_truth(config: SimConfig) -> GroundTruth:
     config.validate()
     skills, quotas, _ = _planted(config)
+    return _truth(config, skills, quotas)
+
+
+def _truth(config: SimConfig, skills: np.ndarray,
+           quotas: np.ndarray) -> GroundTruth:
     expected = 1.0 / config.table_size if config.mode == CHANCE else None
     return GroundTruth(
         config=config,
@@ -223,7 +229,6 @@ class _Round:
     index: int
     timestamp: int
     seated: np.ndarray        # (tables, size) player indices
-    experience: np.ndarray    # (tables, size) games played before this one
     winner_col: np.ndarray    # (tables,)
     voluntary: Optional[np.ndarray] = None   # poker (tables, size) bool
     contrib: Optional[np.ndarray] = None     # poker (tables, size) in chips
@@ -260,7 +265,6 @@ def _generate(config: SimConfig) -> Tuple[List[_Round], np.ndarray, np.ndarray]:
             index=r,
             timestamp=BASE_START + r * step,
             seated=seated,
-            experience=exp_before,
             winner_col=winner_col,
         )
         if config.game == POKER:
@@ -280,130 +284,90 @@ def _generate(config: SimConfig) -> Tuple[List[_Round], np.ndarray, np.ndarray]:
     return rounds, skills, quotas
 
 
-def _id_widths(config: SimConfig) -> Tuple[int, int]:
-    return (max(5, len(str(config.n_players))),
-            max(5, len(str(config.games_per_player * 2))))
+def _seats(config: SimConfig,
+           rounds: List[_Round]) -> Iterator[Tuple[int, List[tuple]]]:
+    """Each round's (timestamp, rows), one row per (table, seat) in log order:
 
-
-def player_id(config: SimConfig, i: int) -> str:
-    w, _ = _id_widths(config)
-    return f"p{i:0{w}d}"
-
-
-def _game_id(config: SimConfig, round_index: int, table: int) -> str:
-    _, w = _id_widths(config)
-    return f"g{round_index:0{w}d}t{table:05d}"
+    poker: (player, game_id, won, value_delta_bb, voluntary, chips_placed,
+    chips_won); rummy: (player, game_id, won, value_delta_points, points),
+    where points are the winner's points or the loser's loss points.
+    Values are Python scalars, and the seats of one table share one
+    game_id string.
+    """
+    pw = max(5, len(str(config.n_players)))
+    gw = max(5, len(str(config.games_per_player * 2)))
+    players = [f"p{i:0{pw}d}" for i in range(config.n_players)]
+    for rnd in rounds:
+        n_tables, size = rnd.seated.shape
+        tables = [f"g{rnd.index:0{gw}d}t{t:05d}" for t in range(n_tables)]
+        seat_players = [players[i] for i in rnd.seated.ravel().tolist()]
+        seat_games = [g for g in tables for _ in range(size)]
+        is_winner = np.zeros(rnd.seated.shape, dtype=bool)
+        is_winner[np.arange(n_tables), rnd.winner_col] = True
+        if config.game == POKER:
+            chips_won = np.where(is_winner, rnd.contrib.sum(axis=1)[:, None], 0.0)
+            delta = (chips_won - rnd.contrib) / config.big_blind
+            cols = (delta > 0, delta, rnd.voluntary, rnd.contrib, chips_won)
+        else:
+            points = np.where(is_winner, rnd.loss_points.sum(axis=1)[:, None],
+                              rnd.loss_points)
+            delta = np.where(is_winner, points, -points).astype(float)
+            cols = (is_winner, delta, points)
+        yield rnd.timestamp, list(zip(
+            seat_players, seat_games, *(c.ravel().tolist() for c in cols)))
 
 
 def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     """Generate a CSV log (ingest's exact schema) plus the ground truth."""
     rounds, skills, quotas = _generate(config)
+    poker = config.game == POKER
+    size = str(config.table_size)
+    bb = _fmt(config.big_blind)
+    vpp = config.value_per_point
+    vpp_text = _fmt(vpp)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if config.game == POKER:
-        writer.writerow(POKER_COLUMNS)
-        bb = config.big_blind
-        for rnd in rounds:
-            start = format_timestamp(rnd.timestamp)
-            end = format_timestamp(rnd.timestamp + GAME_DURATION_MS)
-            pots = rnd.contrib.sum(axis=1)
-            for t in range(rnd.seated.shape[0]):
-                gid = _game_id(config, rnd.index, t)
-                for s in range(rnd.seated.shape[1]):
-                    i = rnd.seated[t, s]
-                    placed = rnd.contrib[t, s]
-                    won = pots[t] if s == rnd.winner_col[t] else 0.0
-                    writer.writerow([
-                        player_id(config, i), gid, "Ring", "TexasHoldem",
-                        _num(bb), _num(placed), _num(won),
-                        str(config.table_size), str(config.table_size), "2",
-                        "1" if rnd.voluntary[t, s] else "0", start, end,
-                    ])
-    else:
-        writer.writerow(RUMMY_COLUMNS)
-        for rnd in rounds:
-            start = format_timestamp(rnd.timestamp)
-            end = format_timestamp(rnd.timestamp + GAME_DURATION_MS)
-            for t in range(rnd.seated.shape[0]):
-                gid = _game_id(config, rnd.index, t)
-                deal_id = gid + "d1"
-                winner_points = int(rnd.loss_points[t].sum())
-                for s in range(rnd.seated.shape[1]):
-                    i = rnd.seated[t, s]
-                    is_winner = s == rnd.winner_col[t]
-                    writer.writerow([
-                        player_id(config, i), gid, "Points",
-                        _num(config.value_per_point),
-                        str(config.table_size), str(config.table_size),
-                        start, end, start, end,
-                        "0",
-                        _num(winner_points * config.value_per_point)
-                        if is_winner else "0",
-                        deal_id, "1",
-                        "1" if is_winner else "0",
-                        str(winner_points) if is_winner else "0",
-                        "0" if is_winner else str(int(rnd.loss_points[t, s])),
-                    ])
-    truth = GroundTruth(
-        config=config,
-        skills=tuple(float(s) for s in skills),
-        quotas=tuple(int(q) for q in quotas),
-        expected_win_rate_chance=(
-            1.0 / config.table_size if config.mode == CHANCE else None
-        ),
-    )
-    return buf.getvalue().encode("utf-8"), truth
+    writer.writerow(POKER_COLUMNS if poker else RUMMY_COLUMNS)
+    for ts, rows in _seats(config, rounds):
+        start = format_timestamp(ts)
+        end = format_timestamp(ts + GAME_DURATION_MS)
+        if poker:
+            writer.writerows(
+                [player, gid, "Ring", "TexasHoldem", bb, _fmt(placed),
+                 _fmt(chips_won), size, size, "2", "1" if voluntary else "0",
+                 start, end]
+                for player, gid, _, _, voluntary, placed, chips_won in rows)
+        else:
+            writer.writerows(
+                [player, gid, "Points", vpp_text, size, size,
+                 start, end, start, end, "0",
+                 _fmt(points * vpp) if won else "0", gid + "d1", "1",
+                 "1" if won else "0", str(points) if won else "0",
+                 "0" if won else str(points)]
+                for player, gid, won, _, points in rows)
+    return buf.getvalue().encode("utf-8"), _truth(config, skills, quotas)
 
 
 def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     """Build player timelines directly from the game loop, bypassing CSV.
 
-    Produces exactly the timelines that simulate() + ingest would, at a
-    fraction of the cost; used for large validation cohorts.
+    Equal to the config's table-size bucket of
+    build_timelines(parse_*_log(simulate(config))), field types included,
+    at a fraction of the cost; used for large validation cohorts.
     """
     rounds, _, _ = _generate(config)
-    staged: Dict[int, List[Outcome]] = {}
+    staged: Dict[str, List[Outcome]] = {}
     poker = config.game == POKER
-    bb = config.big_blind
-    for rnd in rounds:
-        ts = rnd.timestamp
-        n_tables, size = rnd.seated.shape
+    for ts, rows in _seats(config, rounds):
         if poker:
-            pots = rnd.contrib.sum(axis=1)
-        for t in range(n_tables):
-            gid = _game_id(config, rnd.index, t)
-            wcol = rnd.winner_col[t]
-            if not poker:
-                winner_points = float(rnd.loss_points[t].sum())
-            for s in range(size):
-                i = int(rnd.seated[t, s])
-                if poker:
-                    delta = ((pots[t] if s == wcol else 0.0)
-                             - rnd.contrib[t, s]) / bb
-                    o = Outcome(
-                        won=delta > 0, value_delta=delta, timestamp=ts,
-                        key=gid, voluntary_entry=bool(rnd.voluntary[t, s]),
-                    )
-                else:
-                    if s == wcol:
-                        o = Outcome(won=True, value_delta=winner_points,
-                                    timestamp=ts, key=gid + "d1", sort_minor=1)
-                    else:
-                        o = Outcome(won=False,
-                                    value_delta=-float(rnd.loss_points[t, s]),
-                                    timestamp=ts, key=gid + "d1", sort_minor=1)
-                staged.setdefault(i, []).append(o)
+            for player, gid, won, delta, voluntary, _, _ in rows:
+                staged.setdefault(player, []).append(
+                    Outcome(won, delta, ts, gid, voluntary))
+        else:
+            for player, gid, won, delta, _ in rows:
+                staged.setdefault(player, []).append(
+                    Outcome(won, delta, ts, gid + "d1", sort_minor=1))
     return {
-        player_id(config, i): PlayerTimeline(
-            user_id=player_id(config, i),
-            table_size=config.table_size,
-            outcomes=tuple(outs),
-        )
-        for i, outs in sorted(staged.items())
+        player: PlayerTimeline(player, config.table_size, tuple(outs))
+        for player, outs in sorted(staged.items())
     }
-
-
-def _num(x: float) -> str:
-    if float(x) == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))

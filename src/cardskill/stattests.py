@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from .metrics import (
+    METRIC_POLARITY,
+    METRICS,
     QuantilePoint,
     SkillSeries,
     percentile_position,
     rank_average,
+    sample_mean_std,
     theoretical_quantile,
 )
-from .records import Outcome, PlayerTimeline
+from .records import PlayerTimeline
 
 
 class StatTestError(ValueError):
@@ -65,59 +68,6 @@ WORSENING = "Worsening"
 SKILL_DOMINANT = "SkillDominant"
 CHANCE_DOMINANT = "ChanceDominant"
 INCONCLUSIVE = "Inconclusive"
-
-
-# ---------------------------------------------------------------------------
-# Per-window metric functions. Each maps a slice of outcomes to a value,
-# or None when the metric is undefined on that slice (e.g. no losses).
-
-def _win_rate(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return sum(1 for o in outcomes if o.won) / len(outcomes)
-
-
-def _bb_per_100(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return 100.0 * sum(o.value_delta for o in outcomes) / len(outcomes)
-
-
-def _avg_points_lost_losing(outcomes: Sequence[Outcome]) -> Optional[float]:
-    losses = [-o.value_delta for o in outcomes if not o.won]
-    return sum(losses) / len(losses) if losses else None
-
-
-def _avg_loss_magnitude(outcomes: Sequence[Outcome]) -> Optional[float]:
-    losses = [-o.value_delta for o in outcomes if o.value_delta < 0]
-    return sum(losses) / len(losses) if losses else None
-
-
-def _tightness(outcomes: Sequence[Outcome]) -> Optional[float]:
-    flags = [o.voluntary_entry for o in outcomes]
-    if any(f is None for f in flags):
-        return None
-    return 1.0 - sum(1 for f in flags if f) / len(flags)
-
-
-def _net_positive(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return 1.0 if sum(o.value_delta for o in outcomes) > 0 else 0.0
-
-
-METRICS: Dict[str, Callable[[Sequence[Outcome]], Optional[float]]] = {
-    "win_rate": _win_rate,
-    "bb_per_100": _bb_per_100,
-    "avg_points_lost_losing": _avg_points_lost_losing,
-    "avg_blind_lost": _avg_loss_magnitude,
-    "tightness": _tightness,
-    "net_positive_share": _net_positive,
-}
-
-# +1: larger is better (Improving when rising); -1: smaller is better.
-METRIC_POLARITY: Dict[str, int] = {
-    "win_rate": +1,
-    "bb_per_100": +1,
-    "avg_points_lost_losing": -1,
-    "avg_blind_lost": -1,
-    "tightness": +1,
-    "net_positive_share": +1,
-}
 
 
 @dataclass(frozen=True)
@@ -205,12 +155,11 @@ class QQResult:
 class QuantileSummary:
     groups: Tuple[Tuple[int, float, float], ...]  # (cumulative n, mean, std)
     k: int
-    ordering: str = "experience"
 
     def as_dict(self) -> dict:
         return {
             "k": self.k,
-            "ordering": self.ordering,
+            "ordering": "experience",
             "groups": [
                 {"cumulative_players": n, "mean_win_rate": m, "std_win_rate": s}
                 for n, m, s in self.groups
@@ -522,9 +471,7 @@ def qq_test(
     if n < min_players:
         raise TooFewPlayers(f"need >= {min_players} players, got {n}")
     values = sorted(float(v) for v in win_rates)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    sd = math.sqrt(var)
+    mean, sd = sample_mean_std(values)
     if sd == 0.0:
         raise ZeroVariance("all win rates identical")
     ranks = rank_average(values)
@@ -555,7 +502,6 @@ def qq_test(
 def quantile_summary(
     players: Sequence[Tuple[int, float]],
     k: int,
-    ordering: str = "experience",
 ) -> QuantileSummary:
     """Cumulative-prefix summary of win rates over players ordered by
     experience (games played) ascending; group j is the first
@@ -565,14 +511,7 @@ def quantile_summary(
         raise ValueError("k must be >= 2")
     if n < k:
         raise TooFewPlayers(f"need >= {k} players, got {n}")
-    if ordering == "experience":
-        ordered = sorted(players, key=lambda p: p[0])
-    elif ordering == "win_rate":
-        ordered = sorted(players, key=lambda p: p[1])
-    elif ordering == "input":
-        ordered = list(players)
-    else:
-        raise ValueError(f"unknown ordering: {ordering!r}")
+    ordered = sorted(players, key=lambda p: p[0])
     rates = [p[1] for p in ordered]
     groups = []
     for j in range(1, k + 1):
@@ -584,7 +523,7 @@ def quantile_summary(
         else:
             std = 0.0
         groups.append((size, mean, std))
-    return QuantileSummary(groups=tuple(groups), k=k, ordering=ordering)
+    return QuantileSummary(groups=tuple(groups), k=k)
 
 
 def classify(

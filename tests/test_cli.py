@@ -50,6 +50,21 @@ def test_simulate_invalid_config_exit_code(tmp_path, capsys):
     assert "skill_sd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--metric", "nope"],
+    ["--min-games", "0"],
+    ["--max-games", "0"],
+    ["--bin-width", "0"],
+    ["--bin-width", "ten"],
+    ["--quantile-groups", "1"],
+], ids="-".join)
+def test_analyze_bad_flag_exits_2(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", str(tmp_path / "log.csv"), "--game", "poker",
+             "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 2
+
+
 def test_ingest_valid_file(sim_dir, capsys):
     code = run(["ingest", "--game", "poker",
                 str(sim_dir / "poker_log.csv")])

@@ -7,7 +7,6 @@ from cardskill.ingest import (
     HeaderMismatch,
     build_timelines,
     filter_min_games,
-    merge_timeline_maps,
     parse_poker_log,
     parse_rummy_log,
 )
@@ -174,11 +173,3 @@ class TestFilterMinGames:
         cohort = self._cohort({"a": 3, "b": 7})
         assert filter_min_games(cohort, 1) == cohort
 
-
-def test_merge_timeline_maps_commutative():
-    recs_a, _ = parse_poker_log(poker_csv(_poker_rows("a", 3)))
-    recs_b, _ = parse_poker_log(poker_csv(_poker_rows("a", 3, start_hour=3)
-                                          + _poker_rows("b", 2)))
-    left = merge_timeline_maps(build_timelines(recs_a), build_timelines(recs_b))
-    right = merge_timeline_maps(build_timelines(recs_b), build_timelines(recs_a))
-    assert left == right == build_timelines(recs_a + recs_b)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import defaultdict
@@ -135,14 +136,48 @@ def test_heads_up_closed_form():
     )
 
 
-def test_simulated_timelines_match_csv_path():
-    cfg = SimConfig(game="rummy", table_size=3, n_players=30,
-                    games_per_player=12, seed=12)
+# Non-integer big_blind and value_per_point take the repr() branch of the
+# number formatter; the digests pin the simulator's output bytes.
+POKER_6_SKILL = SimConfig(
+    game="poker", table_size=6, n_players=60, games_per_player=40,
+    mode="skill", skill_sd=0.8, learning_b=0.6, min_games_per_player=20,
+    stagger_starts=True, big_blind=0.3, seed=13,
+)
+RUMMY_3_SKILL = SimConfig(
+    game="rummy", table_size=3, n_players=45, games_per_player=40,
+    mode="skill", skill_sd=0.5, learning_curve="exponential", learning_b=0.4,
+    stagger_starts=True, value_per_point=0.25, seed=13,
+)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (POKER_6_SKILL,
+     "19091e49c129956468833f2b6ea763a8a718734bc8008e810cfa00f1b7ddefe8"),
+    (RUMMY_3_SKILL,
+     "b87f174742649b3b4fa68a76a9af4f9c897314373b12e29357ceb1dae64ee453"),
+], ids=["poker", "rummy"])
+def test_simulate_bytes_pinned(cfg, digest):
     data, _ = simulate(cfg)
-    recs, _ = parse_rummy_log(data)
-    via_csv = build_timelines(recs)[3]
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cfg", [
+    POKER_6_SKILL,
+    SimConfig(game="rummy", table_size=3, n_players=30, games_per_player=12,
+              seed=12),
+], ids=["poker", "rummy"])
+def test_simulated_timelines_match_csv_path(cfg):
+    data, _ = simulate(cfg)
+    parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
+    recs, _ = parse(data)
+    via_csv = build_timelines(recs)[cfg.table_size]
     direct = simulate_timelines(cfg)
     assert via_csv == direct
+    # dataclass == lets numpy scalars pass for Python ones; reports do not
+    for tl in direct.values():
+        for o in tl.outcomes:
+            assert type(o.won) is bool
+            assert type(o.value_delta) is float
 
 
 class TestConfigInvalid:
