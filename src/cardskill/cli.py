@@ -1,7 +1,13 @@
 """Command-line front end: ingest, analyze, simulate, version.
 
-Exit codes: 0 success, 2 usage error, 3 data error (unreadable input,
-bad header), 4 insufficient cohort after filtering.
+Commands return 0 or raise. main() alone maps a raised error to an exit
+code through EXIT_CODES and prints one "error: ..." line to stderr:
+2, usage: a bad flag (argparse), --split-date not YYYY-MM, or an invalid
+simulator config value; 3, data: a log that is unreadable, not UTF-8 or
+badly headed, a thresholds or config file that is not a JSON object, a bad
+threshold key or value, a failed statistic, or an --out that cannot be
+written; 4, cohort: too few players for a test after filtering. Any other
+error is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -20,16 +27,15 @@ from .ingest import (
     parse_poker_log,
     parse_rummy_log,
 )
-from .metrics import METRICS
-from .records import parse_timestamp
+from .metrics import METRICS, MetricError
+from .records import RecordError, parse_timestamp
 from .report import atomic_write, build_manifest, write_reports
-from .simgen import ConfigInvalid, SimConfig, simulate
+from .simgen import ConfigInvalid, SimConfig, finite_number, simulate
 from .stattests import (
     DEFAULT_THRESHOLDS,
     InsufficientPlayers,
     StatTestError,
     TooFewPlayers,
-    ZeroVariance,
     classify,
     learning_curve_test,
     persistence_test,
@@ -42,6 +48,14 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COHORT = 4
 
+# First match wins: the two cohort errors are StatTestErrors too.
+EXIT_CODES = (
+    ((InsufficientPlayers, TooFewPlayers), EXIT_COHORT),
+    ((ConfigInvalid,), EXIT_USAGE),
+    ((HeaderMismatch, RecordError, StatTestError, MetricError, OSError,
+      json.JSONDecodeError, UnicodeDecodeError), EXIT_DATA),
+)
+
 
 def _int_at_least(low: int):
     """An argparse type for integers >= low; anything else exits with 2."""
@@ -53,6 +67,16 @@ def _int_at_least(low: int):
     return integer
 
 
+def _year_month(text: str) -> str:
+    """An argparse type for YYYY-MM; the text is kept for the manifest."""
+    try:
+        parse_timestamp(text + "-01T00:00:00Z")
+    except RecordError:
+        raise argparse.ArgumentTypeError(
+            f"expected YYYY-MM, got {text!r}") from None
+    return text
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cardskill",
@@ -61,10 +85,12 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("ingest", help="validate log files, print stats")
+    pi.set_defaults(run=cmd_ingest)
     pi.add_argument("paths", nargs="+")
     pi.add_argument("--game", choices=["poker", "rummy"], required=True)
 
     pa = sub.add_parser("analyze", help="run the three-test battery")
+    pa.set_defaults(run=cmd_analyze)
     pa.add_argument("paths", nargs="+")
     pa.add_argument("--game", choices=["poker", "rummy"], required=True)
     pa.add_argument("--table-size", type=int, choices=[2, 3, 6], default=6)
@@ -73,16 +99,17 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("--bin-width", type=_int_at_least(1), default=10)
     pa.add_argument("--metric", choices=sorted(METRICS), default="win_rate",
                     help="skill variable for persistence and learning tests")
-    pa.add_argument("--split-date", default=None, metavar="YYYY-MM",
+    pa.add_argument("--split-date", type=_year_month, metavar="YYYY-MM",
                     help="period boundary; default: month nearest midpoint")
     pa.add_argument("--quantile-groups", type=_int_at_least(2), default=None,
                     help="default: 10 for poker, 4 for rummy")
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=_int_at_least(0), default=0)
     pa.add_argument("--out", required=True, metavar="DIR")
     pa.add_argument("--thresholds", default=None, metavar="FILE",
                     help="JSON overrides for classification thresholds")
 
     ps = sub.add_parser("simulate", help="generate a synthetic log")
+    ps.set_defaults(run=cmd_simulate)
     ps.add_argument("--game", choices=["poker", "rummy"], default="poker")
     ps.add_argument("--table-size", type=int, choices=[2, 3, 6], default=2)
     ps.add_argument("--players", type=int, default=100)
@@ -100,33 +127,41 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", default=None, metavar="FILE",
                     help="JSON SimConfig; overrides the individual flags")
 
-    sub.add_parser("version", help="print the tool version")
+    pv = sub.add_parser("version", help="print the tool version")
+    pv.set_defaults(run=cmd_version)
     return p
+
+
+@contextmanager
+def _reading(path: str):
+    """Re-raise a header, decoding or JSON error in path naming the file."""
+    try:
+        yield
+    except (HeaderMismatch, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RecordError(f"{path}: {exc}") from exc
 
 
 def _parse_files(paths: List[str], game: str):
     parse = parse_poker_log if game == "poker" else parse_rummy_log
-    records = []
-    stats_list = []
+    records, stats_list = [], []
     for path in paths:
-        with open(path, "rb") as f:
+        with open(path, "rb") as f, _reading(path):
             recs, stats = parse(f)
         records.extend(recs)
         stats_list.append((path, stats))
     return records, stats_list
 
 
+def _load_json_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as f, _reading(path):
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise RecordError(f"{path}: expected a JSON object")
+    return doc
+
+
 def cmd_ingest(args) -> int:
-    try:
-        _, stats_list = _parse_files(args.paths, args.game)
-    except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_DATA
-    except HeaderMismatch as exc:
-        print(json.dumps({"rows_read": 0, "rows_accepted": 0,
-                          "rows_rejected": 0, "error": str(exc)}, indent=2))
-        return EXIT_DATA
+    _, stats_list = _parse_files(args.paths, args.game)
     out = {path: stats.as_dict() for path, stats in stats_list}
     print(json.dumps(out, indent=2))
     return EXIT_OK
@@ -134,67 +169,43 @@ def cmd_ingest(args) -> int:
 
 def _load_thresholds(path: Optional[str]) -> Dict[str, float]:
     th = dict(DEFAULT_THRESHOLDS)
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            th.update(json.load(f))
+    for key, value in (_load_json_object(path) if path else {}).items():
+        if key not in th:
+            raise RecordError(f"{path}: unknown threshold {key!r}", key)
+        if not finite_number(value):
+            raise RecordError(
+                f"{path}: {key}: must be a finite number, got {value!r}", key)
+        th[key] = value
     return th
 
 
 def cmd_analyze(args) -> int:
-    try:
-        records, stats_list = _parse_files(args.paths, args.game)
-    except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_DATA
-    except HeaderMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    try:
-        thresholds = _load_thresholds(args.thresholds)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load thresholds: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    records, stats_list = _parse_files(args.paths, args.game)
+    thresholds = _load_thresholds(args.thresholds)
 
     buckets = build_timelines(records)
     cohort = buckets.get(args.table_size, {})
     cohort = filter_min_games(cohort, args.min_games, args.max_games)
     if not cohort:
-        print("error: no players left after min/max games filtering",
-              file=sys.stderr)
-        return EXIT_COHORT
+        raise InsufficientPlayers(
+            "no players left after min/max games filtering")
 
-    split = "month"
-    if args.split_date:
-        split = parse_timestamp(args.split_date + "-01T00:00:00Z")
+    split = (parse_timestamp(args.split_date + "-01T00:00:00Z")
+             if args.split_date else "month")
 
-    try:
-        persistence = persistence_test(
-            cohort, split=split, metric=args.metric,
-            min_games=args.min_games, seed=args.seed,
-        )
-        learning = learning_curve_test(
-            cohort, metric=args.metric, bin_width=args.bin_width,
-            trend_epsilon=thresholds["trend_epsilon"],
-        )
-        win_rate = METRICS["win_rate"]
-        rates = {u: win_rate(tl.outcomes) for u, tl in cohort.items()}
-        normality = qq_test(
-            [rates[u] for u in sorted(rates)],
-            threshold_r2=thresholds["threshold_r2"],
-            threshold_dev=thresholds["threshold_dev"],
-        )
-        k = args.quantile_groups or (10 if args.game == "poker" else 4)
-        quantiles = quantile_summary(
-            [(len(cohort[u].outcomes), rates[u]) for u in sorted(cohort)], k
-        )
-    except (InsufficientPlayers, TooFewPlayers) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COHORT
-    except (ZeroVariance, StatTestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    persistence = persistence_test(cohort, split=split, metric=args.metric,
+                                   min_games=args.min_games, seed=args.seed)
+    learning = learning_curve_test(cohort, metric=args.metric,
+                                   bin_width=args.bin_width,
+                                   trend_epsilon=thresholds["trend_epsilon"])
+    win_rate = METRICS["win_rate"]
+    rates = {u: win_rate(tl.outcomes) for u, tl in cohort.items()}
+    normality = qq_test([rates[u] for u in sorted(rates)],
+                        threshold_r2=thresholds["threshold_r2"],
+                        threshold_dev=thresholds["threshold_dev"])
+    k = args.quantile_groups or (10 if args.game == "poker" else 4)
+    quantiles = quantile_summary(
+        [(len(cohort[u].outcomes), rates[u]) for u in sorted(cohort)], k)
 
     report = classify(persistence, learning, normality,
                       thresholds=thresholds, quantiles=quantiles)
@@ -209,10 +220,8 @@ def cmd_analyze(args) -> int:
             "rows_accepted": sum(s.rows_accepted for _, s in stats_list),
             "rows_rejected": sum(s.rows_rejected for _, s in stats_list),
         },
-        input_paths=args.paths,
-        seed=args.seed,
-        data_start=min(stamps),
-        data_end=max(stamps),
+        input_paths=args.paths, seed=args.seed,
+        data_start=min(stamps), data_end=max(stamps),
     )
     paths = write_reports(args.out, report, manifest)
     print(json.dumps({"verdict": report.verdict, "outputs": paths}, indent=2))
@@ -221,37 +230,23 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                raw = json.load(f)
-            if "points_cap" in raw:
-                raw["points_cap"] = tuple(raw["points_cap"])
-            if raw.get("skill_overrides") is not None:
-                raw["skill_overrides"] = tuple(raw["skill_overrides"])
-            config = SimConfig(**raw)
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        raw = _load_json_object(args.config)
+        unknown = sorted(set(raw) - set(SimConfig.__dataclass_fields__))
+        if unknown:
+            raise ConfigInvalid(unknown[0], "not a SimConfig field")
+        config = SimConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in raw.items()})
     else:
         config = SimConfig(
-            game=args.game,
-            table_size=args.table_size,
-            n_players=args.players,
-            games_per_player=args.games,
-            mode=args.mode,
-            skill_sd=args.skill_sd,
-            learning_curve=args.learning_curve,
-            learning_b=args.learning_b,
+            game=args.game, table_size=args.table_size,
+            n_players=args.players, games_per_player=args.games,
+            mode=args.mode, skill_sd=args.skill_sd,
+            learning_curve=args.learning_curve, learning_b=args.learning_b,
             learning_alpha=args.learning_alpha,
             min_games_per_player=args.min_games_per_player,
-            stagger_starts=args.stagger_starts,
-            seed=args.seed,
+            stagger_starts=args.stagger_starts, seed=args.seed,
         )
-    try:
-        data, truth = simulate(config)
-    except ConfigInvalid as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data, truth = simulate(config)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, f"{config.game}_log.csv")
     truth_path = os.path.join(args.out, "ground_truth.json")
@@ -262,18 +257,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def cmd_version(args) -> int:
+    print(__version__)
+    return EXIT_OK
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "version":
-        print(__version__)
-        return EXIT_OK
-    if args.command == "ingest":
-        return cmd_ingest(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return EXIT_USAGE
+    try:
+        return args.run(args)
+    except tuple(c for classes, _ in EXIT_CODES for c in classes) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for classes, code in EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

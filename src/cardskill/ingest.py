@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -74,11 +75,7 @@ def _parse_log(stream, columns, validate) -> Tuple[list, IngestStats]:
         stream = io.BytesIO(stream)
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatch(list(columns)) from None
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in next(reader, [])]
     missing = [c for c in columns if c not in header]
     if missing:
         raise HeaderMismatch(missing)
@@ -163,13 +160,7 @@ def filter_min_games(
     truncation: a player over the cap is removed, their series untouched)."""
     if min_games < 1:
         raise ValueError("min_games must be >= 1")
-    kept = {}
-    for user_id, tl in timelines.items():
-        n = len(tl.outcomes)
-        if n < min_games:
-            continue
-        if max_games is not None and n > max_games:
-            continue
-        kept[user_id] = tl
-    return kept
+    cap = math.inf if max_games is None else max_games
+    return {user_id: tl for user_id, tl in timelines.items()
+            if min_games <= len(tl.outcomes) <= cap}
 

@@ -296,14 +296,12 @@ def theoretical_quantile(p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
+    if p < _P_LOW or p > 1.0 - _P_LOW:
+        # the tails mirror each other: x(1 - p) = -x(p)
+        q = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
         x = ((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
             (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
-    elif p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((( _C[0]*q + _C[1])*q + _C[2])*q + _C[3])*q + _C[4])*q + _C[5]) / \
-             (((( _D[0]*q + _D[1])*q + _D[2])*q + _D[3])*q + 1.0)
+        x = x if p < 0.5 else -x
     else:
         q = p - 0.5
         r = q * q

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 
 class RecordError(ValueError):
@@ -194,10 +194,7 @@ def _fmt(x: float) -> str:
 
 
 def _get(raw: Mapping[str, str], name: str) -> str:
-    try:
-        value = raw[name]
-    except KeyError:
-        raise MissingField(name) from None
+    value = raw.get(name)
     if value is None or value == "":
         raise MissingField(name)
     return value
@@ -337,4 +334,3 @@ def rummy_outcome(rec: RummyDealRecord) -> Outcome:
 
 
 Record = Union[PokerHandRecord, RummyDealRecord]
-Records = Sequence[Record]

@@ -1,13 +1,15 @@
 """Machine-readable report emission: verdict.json plus per-figure CSVs.
 
-All writes go through a temp-file-plus-rename so a failed run never
-leaves a partial report behind. verdict.json is fully deterministic for
-a given input and seed: the embedded manifest timestamps are the data's
-own time range, never the wall clock.
+Every file is written through a uniquely named temp file and a rename, so
+no file is ever half written, and verdict.json is written last, so its
+presence means the set beside it is complete. verdict.json is fully
+deterministic for a given input and seed: the embedded manifest timestamps
+are the data's own time range, never the wall clock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -75,12 +77,18 @@ def build_manifest(
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    """Replace path with data in one rename; concurrent writers never share
+    a temp file, and a failed write leaves none behind."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def render_verdict_json(report: VerdictReport, manifest: RunManifest) -> bytes:
@@ -100,41 +108,42 @@ def _csv_bytes(header: Sequence[str], rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _num(x) -> str:
+    """repr of x as a Python float, so a numpy scalar reads as a number."""
+    return repr(float(x))
+
+
 def write_reports(out_dir: str, report: VerdictReport,
                   manifest: RunManifest) -> Dict[str, str]:
-    """Write verdict.json and the four figure/table CSVs; returns paths."""
+    """Write verdict.json and the four figure/table CSVs; returns paths.
+
+    All five payloads are rendered before any file is touched. A stale
+    verdict.json is removed first and the new one is written last."""
+    groups = report.quantiles.groups if report.quantiles is not None else ()
+    payloads = {
+        "verdict.json": render_verdict_json(report, manifest),
+        "persistence.csv": _csv_bytes(
+            ["user_id", "metric_period_a", "metric_period_b"],
+            [(u, _num(a), _num(b)) for u, a, b in report.persistence.pairs]),
+        "learning.csv": _csv_bytes(
+            ["bin", "mean_metric"],
+            [(x, _num(y)) for x, y in report.learning.binned.points]),
+        "qq.csv": _csv_bytes(
+            ["rank", "percentile", "theoretical_q", "observed_q"],
+            [(_num(p.rank), _num(p.percentile), _num(p.theoretical_q),
+              _num(p.observed_q)) for p in report.normality.points]),
+        "quantiles.csv": _csv_bytes(
+            ["group", "cumulative_players", "mean_win_rate", "std_win_rate"],
+            [(j, n, _num(mean), _num(std))
+             for j, (n, mean, std) in enumerate(groups, start=1)]),
+    }
+    paths = {name.split(".")[0]: os.path.join(out_dir, name)
+             for name in payloads}
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    paths["verdict"] = os.path.join(out_dir, "verdict.json")
-    atomic_write(paths["verdict"], render_verdict_json(report, manifest))
-
-    paths["persistence"] = os.path.join(out_dir, "persistence.csv")
-    atomic_write(paths["persistence"], _csv_bytes(
-        ["user_id", "metric_period_a", "metric_period_b"],
-        [(u, repr(a), repr(b)) for u, a, b in report.persistence.pairs],
-    ))
-
-    paths["learning"] = os.path.join(out_dir, "learning.csv")
-    rows = []
-    for x, y in report.learning.binned.points:
-        rows.append((x, repr(y)))
-    atomic_write(paths["learning"], _csv_bytes(["bin", "mean_metric"], rows))
-
-    paths["qq"] = os.path.join(out_dir, "qq.csv")
-    atomic_write(paths["qq"], _csv_bytes(
-        ["rank", "percentile", "theoretical_q", "observed_q"],
-        [(repr(p.rank), repr(p.percentile), repr(p.theoretical_q),
-          repr(p.observed_q)) for p in report.normality.points],
-    ))
-
-    paths["quantiles"] = os.path.join(out_dir, "quantiles.csv")
-    qrows = []
-    if report.quantiles is not None:
-        for j, (n, mean, std) in enumerate(report.quantiles.groups, start=1):
-            qrows.append((j, n, repr(mean), repr(std)))
-    atomic_write(paths["quantiles"], _csv_bytes(
-        ["group", "cumulative_players", "mean_win_rate", "std_win_rate"],
-        qrows,
-    ))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(paths["verdict"])
+    verdict = payloads.pop("verdict.json")
+    for name, data in payloads.items():
+        atomic_write(os.path.join(out_dir, name), data)
+    atomic_write(paths["verdict"], verdict)
     return paths

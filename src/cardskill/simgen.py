@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -50,6 +51,32 @@ class ConfigInvalid(ValueError):
         self.field_name = field_name
 
 
+def finite_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < math.inf)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, (tuple, list)) and all(map(finite_number, value))
+
+
+# (fields, what their values must be, test), checked before the value rules;
+# a field whose default is None also takes None.
+_FIELD_TYPES = (
+    (("table_size", "n_players", "games_per_player", "min_games_per_player",
+      "seed"), "an integer",
+     lambda v: finite_number(v) and isinstance(v, numbers.Integral)),
+    (("skill_sd", "learning_b", "learning_alpha", "points_mu", "points_sd",
+      "points_skill_coeff", "value_per_point", "vpip_start", "vpip_end",
+      "big_blind"), "a finite number", finite_number),
+    (("stagger_starts",), "true or false", lambda v: isinstance(v, bool)),
+    (("points_cap",), "a pair of numbers",
+     lambda v: _numbers(v) and len(v) == 2),
+    (("skill_overrides",), "a list of numbers", _numbers),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     game: str = POKER
@@ -79,6 +106,12 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for names, kind, accepts in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                optional = SimConfig.__dataclass_fields__[name].default is None
+                if not (accepts(value) or (optional and value is None)):
+                    raise ConfigInvalid(name, f"must be {kind}, got {value!r}")
         if self.game not in (POKER, RUMMY):
             raise ConfigInvalid("game", f"must be {POKER!r} or {RUMMY!r}")
         if self.table_size not in (2, 3, 6):
@@ -154,9 +187,6 @@ class GroundTruth:
     def heads_up_probability(self, skill_a: float, skill_b: float) -> float:
         """Closed-form P(A beats B) under the softmax winner model."""
         return 1.0 / (1.0 + math.exp(-(skill_a - skill_b)))
-
-    def learning_delta(self, games_played: int) -> float:
-        return _learning_delta(self.config, np.array([games_played]))[0]
 
     def to_json(self) -> str:
         return json.dumps(

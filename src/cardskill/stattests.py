@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +26,7 @@ from .metrics import (
     percentile_position,
     rank_average,
     sample_mean_std,
+    standardize,
     theoretical_quantile,
 )
 from .records import PlayerTimeline
@@ -205,47 +207,34 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def _month_start_ms(ms: int) -> int:
-    from datetime import datetime, timezone
-
+def _month_bounds_ms(ms: int) -> Tuple[int, int]:
+    """The starts (ms) of the calendar month holding ms and of the next."""
     dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
-    return int(dt.replace(day=1, hour=0, minute=0, second=0, microsecond=0)
-               .timestamp() * 1000)
-
-
-def _next_month_ms(ms: int) -> int:
-    from datetime import datetime, timezone
-
-    dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
+    floor = dt.replace(day=1, hour=0, minute=0, second=0, microsecond=0)
     y, m = (dt.year + 1, 1) if dt.month == 12 else (dt.year, dt.month + 1)
-    return int(dt.replace(year=y, month=m, day=1, hour=0, minute=0,
-                          second=0, microsecond=0).timestamp() * 1000)
+    ceil = floor.replace(year=y, month=m)
+    return int(floor.timestamp() * 1000), int(ceil.timestamp() * 1000)
 
 
 def resolve_split(
     timelines: Mapping[str, PlayerTimeline],
     split: Union[int, str] = "month",
 ) -> int:
-    """Split timestamp (ms). "month": the calendar-month boundary nearest
-    the midpoint of the observed range; "midpoint": the raw midpoint;
-    an int is used verbatim."""
+    """Split timestamp (ms). An int is used verbatim. "month": the
+    calendar-month boundary nearest the midpoint of the observed range, or
+    the midpoint itself when that boundary falls outside the range."""
     if isinstance(split, int):
         return split
+    if split != "month":
+        raise ValueError(f"unknown split rule: {split!r}")
     stamps = [o.timestamp for tl in timelines.values() for o in tl.outcomes]
     if not stamps:
         raise InsufficientPlayers("no outcomes to split")
     lo, hi = min(stamps), max(stamps)
     mid = (lo + hi) // 2
-    if split == "midpoint":
-        return mid
-    if split == "month":
-        floor = _month_start_ms(mid)
-        ceil = _next_month_ms(mid)
-        snapped = floor if mid - floor <= ceil - mid else ceil
-        if lo < snapped <= hi:
-            return snapped
-        return mid
-    raise ValueError(f"unknown split rule: {split!r}")
+    floor, ceil = _month_bounds_ms(mid)
+    snapped = floor if mid - floor <= ceil - mid else ceil
+    return snapped if lo < snapped <= hi else mid
 
 
 def persistence_test(
@@ -262,8 +251,7 @@ def persistence_test(
     split_ms = resolve_split(timelines, split)
 
     pairs: List[Tuple[str, float, float]] = []
-    a_lo = b_lo = None
-    a_hi = b_hi = None
+    spans = []  # per player: first and last stamp in period A, then in B
     for user_id in sorted(timelines):
         tl = timelines[user_id]
         part_a = [o for o in tl.outcomes if o.timestamp < split_ms]
@@ -277,10 +265,7 @@ def persistence_test(
         pairs.append((user_id, va, vb))
         ta = [o.timestamp for o in part_a]
         tb = [o.timestamp for o in part_b]
-        a_lo = min(ta) if a_lo is None else min(a_lo, min(ta))
-        a_hi = max(ta) if a_hi is None else max(a_hi, max(ta))
-        b_lo = min(tb) if b_lo is None else min(b_lo, min(tb))
-        b_hi = max(tb) if b_hi is None else max(b_hi, max(tb))
+        spans.append((min(ta), max(ta), min(tb), max(tb)))
 
     if len(pairs) < 3:
         raise InsufficientPlayers(
@@ -308,8 +293,8 @@ def persistence_test(
     return PersistenceResult(
         r=r,
         n_players=n,
-        period_a=(a_lo, a_hi),
-        period_b=(b_lo, b_hi),
+        period_a=(min(s[0] for s in spans), max(s[1] for s in spans)),
+        period_b=(min(s[2] for s in spans), max(s[3] for s in spans)),
         min_games=min_games,
         bootstrap_ci95=(lo, hi),
         metric=metric,
@@ -482,7 +467,7 @@ def qq_test(
             rank=ranks[i - 1],
             percentile=p,
             theoretical_q=theoretical_quantile(p),
-            observed_q=(v - mean) / sd,
+            observed_q=standardize(v, mean, sd),
         ))
     theo = [pt.theoretical_q for pt in points]
     obs = [pt.observed_q for pt in points]
@@ -517,11 +502,7 @@ def quantile_summary(
     for j in range(1, k + 1):
         size = math.ceil(j * n / k)
         chunk = rates[:size]
-        mean = sum(chunk) / size
-        if size > 1:
-            std = math.sqrt(sum((v - mean) ** 2 for v in chunk) / (size - 1))
-        else:
-            std = 0.0
+        mean, std = sample_mean_std(chunk) if size > 1 else (chunk[0], 0.0)
         groups.append((size, mean, std))
     return QuantileSummary(groups=tuple(groups), k=k)
 
@@ -540,9 +521,7 @@ def classify(
     from normal. ChanceDominant: no persistence (CI covers zero) and a
     flat trend. Anything else is Inconclusive.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
+    th = {**DEFAULT_THRESHOLDS, **(thresholds or {})}
     covers_zero = persistence.ci_covers_zero()
     if (
         persistence.r >= th["r_min"]

@@ -1,0 +1,237 @@
+"""The CLI's input contract: every failure ends in a documented exit code
+(2 usage, 3 data, 4 cohort) with one "error:" line, never a traceback."""
+
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from cardskill.simgen import SimConfig, simulate
+
+# A small clean heads-up log: 24 players x 40 games, 480 rows.
+BASE_LOG, _ = simulate(SimConfig(n_players=24, games_per_player=40,
+                                 mode="skill", skill_sd=0.5, seed=9))
+
+
+def exit_code(argv):
+    """main()'s code; argparse's SystemExit counts as its exit status."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def non_utf8(data: bytes, pos: int) -> bytes:
+    return data[:pos] + b"\xff" + data[pos + 1:]
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("log") / "poker_log.csv"
+    path.write_bytes(BASE_LOG)
+    return str(path)
+
+
+def _analyze(log, out, *flags):
+    return ["analyze", log, "--game", "poker", "--table-size", "2",
+            "--min-games", "10", "--out", out, *flags]
+
+
+# (id, bytes written to IN or None, argv builder, exit code, what the error
+# line names). IN is the written file, LOG the clean log, OUT a fresh
+# directory and FILE an existing regular file; other names match as they are.
+CASES = [
+    ("thresholds-string", b'{"r_min": "high"}',
+     lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
+     EXIT_DATA, "r_min"),
+    ("thresholds-list", b"[1, 2]",
+     lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
+     EXIT_DATA, "IN"),
+    ("thresholds-unknown-key", b'{"r_mni": 0.9}',
+     lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
+     EXIT_DATA, "r_mni"),
+    ("thresholds-nan", b'{"r_min": NaN}',
+     lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
+     EXIT_DATA, "r_min"),
+    ("split-date-month-13", None,
+     lambda p: _analyze(p["LOG"], p["OUT"], "--split-date", "2023-13"),
+     EXIT_USAGE, "--split-date"),
+    ("ingest-non-utf8", non_utf8(BASE_LOG, 300),
+     lambda p: ["ingest", "--game", "poker", p["IN"]],
+     EXIT_DATA, "IN"),
+    ("analyze-non-utf8", non_utf8(BASE_LOG, 300),
+     lambda p: _analyze(p["IN"], p["OUT"]),
+     EXIT_DATA, "IN"),
+    ("config-list", b"[1]",
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_DATA, "IN"),
+    ("config-n-players-string", b'{"n_players": "10"}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "n_players"),
+    ("config-n-players-float", b'{"n_players": 4.5}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "n_players"),
+    ("config-skill-overrides-strings",
+     b'{"mode": "skill", "n_players": 3, "skill_overrides": ["a", "b", "c"]}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "skill_overrides"),
+    ("config-stagger-starts-string", b'{"stagger_starts": "no"}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "stagger_starts"),
+    ("analyze-out-is-a-file", None,
+     lambda p: _analyze(p["LOG"], p["FILE"]),
+     EXIT_DATA, "FILE"),
+    ("simulate-out-is-a-file", None,
+     lambda p: ["simulate", "--players", "4", "--games", "2",
+                "--out", p["FILE"]],
+     EXIT_DATA, "FILE"),
+]
+
+
+@pytest.mark.parametrize("data,argv,code,named", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_bad_input_exit_code(tmp_path, log_path, capsys,
+                             data, argv, code, named):
+    paths = {"LOG": log_path, "IN": str(tmp_path / "input"),
+             "OUT": str(tmp_path / "out"), "FILE": str(tmp_path / "a_file")}
+    (tmp_path / "a_file").write_bytes(b"")
+    if data is not None:
+        (tmp_path / "input").write_bytes(data)
+    assert exit_code(argv(paths)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert lines and "error:" in lines[-1]
+    assert paths.get(named, named) in lines[-1]
+
+
+def test_ingest_bad_header_goes_to_stderr(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user_id,game_id\nu1,g1\n")
+    assert exit_code(["ingest", "--game", "poker", str(bad)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}: header missing required columns")
+
+
+def test_split_date_kept_as_typed(log_path, tmp_path):
+    out = tmp_path / "r"
+    assert exit_code(_analyze(log_path, str(out), "--split-date",
+                              "2023-01")) == EXIT_OK
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["manifest"]["config"]["split_date"] == "2023-01"
+
+
+# --- generated argv and CSV bytes -------------------------------------------
+
+_LINES = BASE_LOG.splitlines(keepends=True)
+
+
+@st.composite
+def csv_bytes(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "non_utf8",
+                                 "empty"]))
+    if kind == "empty":
+        return b""
+    if kind == "non_utf8":
+        return non_utf8(BASE_LOG, draw(st.integers(0, len(BASE_LOG) - 1)))
+    lines = list(_LINES)
+    for _ in range(draw(st.integers(1, 8)) if kind == "mutated" else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].rstrip(b"\n").split(b",")
+        j = draw(st.integers(0, len(fields) - 1))
+        fields[j] = draw(st.sampled_from(
+            [b"", b"x", b"-1", b"0", b"nan", b"1e400", b"2023-13-01T00:00Z",
+             b'"', b"Tournament", b"6", b"u0"]))
+        lines[i] = b",".join(fields) + b"\n"
+    return b"".join(lines)
+
+
+def _flag(name, valid, invalid=()):
+    """Strategy for a flag: absent, or with a value; invalid values only when
+    the argument `bad` is true, so that half the runs can succeed."""
+    def flag(bad):
+        values = st.sampled_from(list(valid) + (list(invalid) if bad else []))
+        return st.one_of(st.just([]), values.map(
+            lambda v: [name] if v is True else [name, v]))
+    return flag
+
+
+JSON_DOCS = st.sampled_from([
+    b"{}", b'{"r_min": 0.5}', b'{"trend_epsilon": 0}', b'{"r_min": true}',
+    b'{"bogus": 1}', b"[1]", b"not json", b"\xff", b'{"n_players": 6}',
+    b'{"game": "rummy", "n_players": 6, "games_per_player": 12}',
+    b'{"points_cap": [2]}', b'{"seed": -1}', b'{"skill_overrides": 1}',
+])
+
+ANALYZE_FLAGS = [
+    _flag("--table-size", ["2", "2", "3"], ["4"]),
+    _flag("--min-games", ["1", "5", "10", "50"], ["0", "x"]),
+    _flag("--max-games", ["40", "100", "5"], ["0"]),
+    _flag("--bin-width", ["1", "5", "10"], ["0"]),
+    _flag("--metric", ["win_rate", "bb_per_100", "tightness",
+                       "avg_points_lost_losing"], ["nope"]),
+    _flag("--split-date", ["2022-12", "2023-01", "2024-01"],
+          ["2023-13", "2023-1", "x"]),
+    _flag("--quantile-groups", ["2", "4", "30"], ["1"]),
+    _flag("--seed", ["0", "7", str(2**70)], ["-1", "x"]),
+    _flag("--thresholds", ["THRESHOLDS"]),
+]
+
+SIMULATE_FLAGS = [
+    _flag("--game", ["poker", "rummy"], ["bridge"]),
+    _flag("--table-size", ["2", "3", "6"], ["4"]),
+    _flag("--players", ["1", "6", "12"], ["-3", "x"]),
+    _flag("--games", ["1", "12"], ["0"]),
+    _flag("--mode", ["chance", "skill"]),
+    _flag("--skill-sd", ["0", "0.5"], ["-1", "nan", "inf"]),
+    _flag("--learning-curve", ["power", "exponential"]),
+    _flag("--learning-b", ["0", "0.4"], ["nan"]),
+    _flag("--learning-alpha", ["0.5", "2"], ["0", "-inf"]),
+    _flag("--min-games-per-player", ["1", "6"], ["0", "50"]),
+    _flag("--stagger-starts", [True]),
+    _flag("--seed", ["0", "3"], ["-1", str(2**64)]),
+    _flag("--config", ["CONFIG"]),
+]
+
+
+@st.composite
+def argv_and_files(draw):
+    command = draw(st.sampled_from(["ingest", "analyze", "simulate",
+                                    "version"]))
+    files = {"LOG": draw(csv_bytes()), "THRESHOLDS": draw(JSON_DOCS),
+             "CONFIG": draw(JSON_DOCS)}
+    game = draw(st.sampled_from(["poker", "poker", "rummy"]))
+    bad = draw(st.booleans())
+    if command == "version":
+        argv = ["version"]
+    elif command == "ingest":
+        argv = ["ingest", "--game", game, "LOG"]
+    elif command == "analyze":
+        argv = ["analyze", "LOG", "--game", game, "--out", "OUT",
+                "--table-size", "2", "--min-games", "10"]
+        for flag in ANALYZE_FLAGS:
+            argv += draw(flag(bad))
+    else:
+        argv = ["simulate", "--out", "OUT", "--players", "6", "--games", "4"]
+        for flag in SIMULATE_FLAGS:
+            argv += draw(flag(bad))
+    return argv, files
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv_and_files())
+def test_main_exits_with_a_documented_code(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {name: os.path.join(tmp, name) for name in files}
+        names["OUT"] = os.path.join(tmp, "out")
+        for name, data in files.items():
+            with open(names[name], "wb") as f:
+                f.write(data)
+        code = exit_code([names.get(arg, arg) for arg in argv])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_COHORT)

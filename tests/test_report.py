@@ -1,0 +1,98 @@
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from cardskill import report
+from cardskill.metrics import SkillSeries
+from cardskill.report import atomic_write, build_manifest, write_reports
+from cardskill.simgen import SimConfig, simulate_timelines
+from cardskill.stattests import (
+    classify,
+    learning_curve_test,
+    persistence_test,
+    qq_test,
+    quantile_summary,
+)
+
+REPORT_FILES = ["learning.csv", "persistence.csv", "qq.csv", "quantiles.csv",
+                "verdict.json"]
+
+
+@pytest.fixture(scope="module")
+def verdict():
+    cohort = simulate_timelines(SimConfig(n_players=40, games_per_player=40,
+                                          seed=4))
+    rates = {u: sum(o.won for o in tl.outcomes) / len(tl.outcomes)
+             for u, tl in cohort.items()}
+    return classify(
+        persistence_test(cohort, min_games=10, n_boot=50),
+        learning_curve_test(cohort),
+        qq_test([rates[u] for u in sorted(rates)]),
+        quantiles=quantile_summary(
+            [(len(cohort[u].outcomes), rates[u]) for u in sorted(cohort)], 4),
+    )
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return build_manifest(["cardskill"], {}, [], 0, 0, 1)
+
+
+def test_numpy_scalars_written_as_plain_numbers(verdict, manifest, tmp_path):
+    plain = tmp_path / "plain"
+    write_reports(str(plain), verdict, manifest)
+    pers = verdict.persistence
+    learn = verdict.learning
+    np_verdict = dataclasses.replace(
+        verdict,
+        persistence=dataclasses.replace(pers, pairs=tuple(
+            (u, np.float64(a), np.float64(b)) for u, a, b in pers.pairs)),
+        learning=dataclasses.replace(learn, binned=SkillSeries(
+            learn.binned.metric_name,
+            tuple((x, np.float64(y)) for x, y in learn.binned.points),
+            learn.binned.player_scope)),
+    )
+    numpy = tmp_path / "numpy"
+    write_reports(str(numpy), np_verdict, manifest)
+    for name in ("persistence.csv", "learning.csv"):
+        text = (numpy / name).read_text()
+        assert "np." not in text
+        assert text == (plain / name).read_text()
+
+
+def test_failed_write_leaves_no_verdict(verdict, manifest, tmp_path,
+                                        monkeypatch):
+    out = tmp_path / "r"
+    write_reports(str(out), verdict, manifest)
+    assert sorted(os.listdir(out)) == REPORT_FILES
+    calls = []
+
+    def failing_write(path, data):
+        calls.append(os.path.basename(path))
+        if len(calls) == 3:
+            raise OSError("disk full")
+        atomic_write(path, data)
+
+    monkeypatch.setattr(report, "atomic_write", failing_write)
+    with pytest.raises(OSError):
+        write_reports(str(out), verdict, manifest)
+    assert len(calls) == 3
+    assert "verdict.json" not in os.listdir(out)
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+def test_atomic_write_failure_leaves_old_file_and_no_temp(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "f.csv"
+    atomic_write(str(path), b"old")
+
+    def no_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(OSError):
+        atomic_write(str(path), b"new")
+    assert os.listdir(tmp_path) == ["f.csv"]
+    assert path.read_bytes() == b"old"

@@ -201,3 +201,14 @@ class TestConfigInvalid:
     def test_min_games_band(self):
         with pytest.raises(ConfigInvalid):
             SimConfig(games_per_player=50, min_games_per_player=60).validate()
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_players", "10"), ("n_players", 4.5), ("seed", True),
+        ("min_games_per_player", 2.0), ("skill_sd", float("nan")),
+        ("big_blind", "2"), ("stagger_starts", "no"), ("points_cap", (2,)),
+        ("points_cap", (2, "80")), ("skill_overrides", ("a", "b")),
+    ])
+    def test_field_type_named(self, name, value):
+        with pytest.raises(ConfigInvalid) as exc:
+            SimConfig(**{name: value}).validate()
+        assert exc.value.field_name == name
