@@ -2,11 +2,16 @@
 
 Raw log rows arrive as text field mappings; the validate_* functions
 coerce and check them, raising a structured error that identifies the
-offending field so callers can report line-accurate diagnostics.
+offending field so callers can report line-accurate diagnostics. The
+check_* functions hold the invariants between fields, for records built
+by validation or by any other path.
 
-All records are immutable after construction and safe to share across
-threads. Timestamps are ISO-8601 UTC text in files and integer epoch
-milliseconds internally.
+Records and outcomes are typing.NamedTuples: immutable after construction,
+safe to share across threads, and about a fifth of the cost of a frozen
+dataclass to build. They compare equal to plain tuples of their fields; use
+_replace and _asdict, not dataclasses.replace and asdict.
+Timestamps are ISO-8601 UTC text in files and integer epoch milliseconds
+internally.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class RecordError(ValueError):
@@ -93,8 +98,7 @@ def format_timestamp(ms: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
-@dataclass(frozen=True)
-class PokerHandRecord:
+class PokerHandRecord(NamedTuple):
     user_id: str
     game_id: str
     game_type: PokerGameType
@@ -125,8 +129,7 @@ class PokerHandRecord:
         ]
 
 
-@dataclass(frozen=True)
-class RummyDealRecord:
+class RummyDealRecord(NamedTuple):
     user_id: str
     game_id: str
     game_type: RummyGameType
@@ -158,8 +161,7 @@ class RummyDealRecord:
         ]
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One game/deal result for one player, the unit of all metric work.
 
     value_delta is in big blinds for poker (chips_won - chips_placed over
@@ -246,7 +248,7 @@ def _parse_ts(raw: Mapping[str, str], name: str) -> int:
 
 
 def validate_poker_record(raw: Mapping[str, str]) -> PokerHandRecord:
-    rec = PokerHandRecord(
+    return check_poker_record(PokerHandRecord(
         user_id=_get(raw, "user_id"),
         game_id=_get(raw, "game_id"),
         game_type=_parse_enum(raw, "game_type", PokerGameType),
@@ -260,7 +262,11 @@ def validate_poker_record(raw: Mapping[str, str]) -> PokerHandRecord:
         voluntary_entry=_parse_bool01(raw, "voluntary_entry"),
         game_start=_parse_ts(raw, "game_start"),
         game_end=_parse_ts(raw, "game_end"),
-    )
+    ))
+
+
+def check_poker_record(rec: PokerHandRecord) -> PokerHandRecord:
+    """Return rec, or raise InvariantViolation if its fields disagree."""
     if rec.big_blind <= 0:
         raise InvariantViolation("big_blind > 0 violated")
     if rec.chips_placed < 0 or rec.chips_won < 0:
@@ -275,7 +281,7 @@ def validate_poker_record(raw: Mapping[str, str]) -> PokerHandRecord:
 
 
 def validate_rummy_record(raw: Mapping[str, str]) -> RummyDealRecord:
-    rec = RummyDealRecord(
+    return check_rummy_record(RummyDealRecord(
         user_id=_get(raw, "user_id"),
         game_id=_get(raw, "game_id"),
         game_type=_parse_enum(raw, "game_type", RummyGameType),
@@ -293,7 +299,11 @@ def validate_rummy_record(raw: Mapping[str, str]) -> RummyDealRecord:
         is_winner=_parse_bool01(raw, "is_winner"),
         winner_points=_parse_int(raw, "winner_points"),
         loss_points=_parse_int(raw, "loss_points"),
-    )
+    ))
+
+
+def check_rummy_record(rec: RummyDealRecord) -> RummyDealRecord:
+    """Return rec, or raise InvariantViolation if its fields disagree."""
     if rec.is_winner and rec.loss_points > 0:
         raise WinnerContradiction()
     if not rec.is_winner and rec.winner_points > 0:

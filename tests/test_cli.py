@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 
 import pytest
 
+from cardskill import cli
 from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, main
 
 
@@ -157,3 +159,28 @@ def test_reports_are_rfc4180_parsable(sim_dir, tmp_path):
         assert rows and rows[0]  # header present
         width = len(rows[0])
         assert all(len(r) == width for r in rows)
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
+                                        capsys, caller_gc):
+    seen, parse_poker_log = [], cli.parse_poker_log
+
+    def parse(stream):
+        seen.append(gc.isenabled())
+        return parse_poker_log(stream)
+
+    monkeypatch.setattr(cli, "parse_poker_log", parse)
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
+    try:
+        log = str(sim_dir / "poker_log.csv")
+        assert run(["ingest", "--game", "poker", log]) == EXIT_OK
+        assert gc.isenabled() is caller_gc
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id\nu1\n")
+        assert run(["ingest", "--game", "poker", str(bad)]) == EXIT_DATA
+        assert gc.isenabled() is caller_gc
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]

@@ -108,6 +108,20 @@ def test_bad_input_exit_code(tmp_path, log_path, capsys,
     assert paths.get(named, named) in lines[-1]
 
 
+@pytest.mark.parametrize("pos", [300, 30000],
+                         ids=["first-8KiB", "beyond-8KiB"])
+def test_non_utf8_error_names_the_line(tmp_path, capsys, pos):
+    assert pos < len(BASE_LOG)
+    path = tmp_path / "log.csv"
+    path.write_bytes(non_utf8(BASE_LOG, pos))
+    assert exit_code(["ingest", "--game", "poker", str(path)]) == EXIT_DATA
+    line = BASE_LOG.count(b"\n", 0, pos) + 1
+    column = pos - BASE_LOG.rfind(b"\n", 0, pos) - 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {column}: invalid start byte\n")
+
+
 def test_ingest_bad_header_goes_to_stderr(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("user_id,game_id\nu1,g1\n")

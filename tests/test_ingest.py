@@ -1,16 +1,27 @@
+import csv
 import io
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cardskill import ingest
 from cardskill.ingest import (
     HeaderMismatch,
+    IngestStats,
     build_timelines,
     filter_min_games,
     parse_poker_log,
     parse_rummy_log,
 )
-from cardskill.records import POKER_COLUMNS, RUMMY_COLUMNS
+from cardskill.records import (
+    POKER_COLUMNS,
+    RUMMY_COLUMNS,
+    RecordError,
+    validate_poker_record,
+    validate_rummy_record,
+)
 
 from helpers import POKER_ROW, RUMMY_ROW
 
@@ -173,3 +184,124 @@ class TestFilterMinGames:
         cohort = self._cohort({"a": 3, "b": 7})
         assert filter_min_games(cohort, 1) == cohort
 
+
+
+# --- the column pass against the row-validator oracle ------------------------
+
+_TS = ["2022-12-01T10:00:00Z", "2022-12-01T10:05:00.000Z",
+       "2022-12-01T10:20:00Z"]
+_ODD_TS = ["2022-12-01 10:00:00", "2022-12-01T11:00:00+01:00",
+           " 2022-12-01T10:00:00Z", "20221201T100000Z", "2023-02-30T00:00:00Z",
+           "2022-13-01T00:00:00Z", "yesterday", ""]
+_ODD_NUMBER = ["", " 3", "3 ", "1_0", "+4", "1e3", "2.0", "-1", "12x", "nan",
+               "NaN", "inf", "-inf", "1e400"]
+_ODD_WORD = ["", " ", "x,y", 'q"t', "two\nlines", " Ring", "Ring ", "ring",
+             " Points", " 1", "1 ", "yes", "2"]
+
+# Values each column takes when it is not odd; mixed freely, the later
+# ones also break the invariants between fields.
+_VALUES = {
+    "user_id": ["u1", "u2"], "game_id": ["g1", "g2"], "deal_id": ["d1"],
+    "big_blind": ["2", "0.5", "0"], "chips_placed": ["10", "0", "3.5"],
+    "chips_won": ["0", "25", "-1"], "num_players": ["2", "6", "7"],
+    "max_players": ["6", "2", "9"], "min_players": ["2"],
+    "actual_players": ["2", "6", "7"], "voluntary_entry": ["0", "1"],
+    "buy_in": ["100", "0"], "win_amt": ["20", "0", "-5"],
+    "deal_number": ["1", "2", "0"], "is_winner": ["0", "1"],
+    "winner_points": ["0", "40"], "loss_points": ["0", "20", "-3"],
+    "game_start": _TS, "game_end": _TS, "deal_start": _TS, "deal_end": _TS,
+}
+_POKER_VALUES = {**_VALUES, "game_type": ["Ring", "Tournament", "Pool"],
+                 "game_variant": ["TexasHoldem", "PLO", "0.5"]}
+_RUMMY_VALUES = {**_VALUES, "game_type": ["Points", "Pool", "Deal", "Ring"],
+                 "game_variant": ["0.5", "80", "PLO"]}
+
+
+@st.composite
+def _log(draw, columns, values):
+    """CSV bytes with odd texts, short, long and blank rows, a shuffled
+    header and sometimes an extra column."""
+    header = draw(st.permutations(columns + ["note"] * draw(st.booleans())))
+    pools = [values.get(name, ["n"]) for name in header]
+    good = st.tuples(*(st.sampled_from(p[:1] * 4 + p) for p in pools))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 30))):
+        shape = draw(st.sampled_from(["full"] * 6 + ["short", "long", "blank"]))
+        if shape == "blank":
+            buf.write("\r\n")
+            continue
+        row = list(draw(good))
+        odd = draw(st.integers(0, 2 * len(row)))  # this field, if any, is odd
+        if odd < len(row):
+            row[odd] = draw(st.sampled_from(
+                _ODD_TS if pools[odd] is _TS else _ODD_NUMBER + _ODD_WORD))
+        if shape == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row += ["extra"]
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def _reference_parse(data, columns, validate):
+    """The row loop: every csv record through the row validator."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    header = [h.strip() for h in next(reader)]
+    index = {name: header.index(name) for name in columns}
+    out, stats = [], IngestStats()
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        stats.rows_read += 1
+        raw = {name: row[i] if i < len(row) else "" for name, i in index.items()}
+        try:
+            out.append(validate(raw))
+        except RecordError as exc:
+            stats.record_error(line_no, exc)
+        else:
+            stats.rows_accepted += 1
+    return out, stats
+
+
+@pytest.mark.parametrize("parse,columns,values,validate", [
+    (parse_poker_log, POKER_COLUMNS, _POKER_VALUES, validate_poker_record),
+    (parse_rummy_log, RUMMY_COLUMNS, _RUMMY_VALUES, validate_rummy_record),
+], ids=["poker", "rummy"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_column_pass_matches_row_validator(parse, columns, values, validate,
+                                           data):
+    log = data.draw(_log(columns, values))
+    chunk = data.draw(st.integers(1, 9))  # bad rows straddle chunk edges
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+        recs, stats = parse(log)
+    ref_recs, ref_stats = _reference_parse(log, columns, validate)
+    assert repr(recs) == repr(ref_recs)  # also tells 2 from 2.0 and True
+    assert stats.as_dict() == ref_stats.as_dict()
+    assert [e.line for e in stats.first_error_samples] == \
+        [e.line for e in ref_stats.first_error_samples]
+
+
+@pytest.mark.parametrize("parse,base,validate", [
+    (parse_poker_log, POKER_ROW, validate_poker_record),
+    (parse_rummy_log, RUMMY_ROW, validate_rummy_record),
+], ids=["poker", "rummy"])
+def test_each_odd_text_matches_row_validator(parse, base, validate):
+    """Every odd text in every column, one per row, between clean rows."""
+    columns = list(base)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for name in columns:
+        for text in _ODD_TS + _ODD_NUMBER + _ODD_WORD:
+            writer.writerow([text if c == name else base[c] for c in columns])
+            writer.writerow([base[c] for c in columns])
+    log = buf.getvalue().encode("utf-8")
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+        recs, stats = parse(log)
+    ref_recs, ref_stats = _reference_parse(log, columns, validate)
+    assert repr(recs) == repr(ref_recs)
+    assert stats.as_dict() == ref_stats.as_dict()
+    assert stats.rows_rejected > 0 and stats.rows_accepted > stats.rows_read / 2

@@ -10,6 +10,8 @@ from cardskill.records import (
     WinnerContradiction,
     format_timestamp,
     parse_timestamp,
+    poker_outcome,
+    rummy_outcome,
     validate_poker_record,
     validate_rummy_record,
 )
@@ -121,3 +123,15 @@ def test_rummy_row_round_trip(is_winner, points, deal_number):
     rec = validate_rummy_record(raw)
     reparsed = validate_rummy_record(dict(zip(RUMMY_COLUMNS, rec.to_row())))
     assert reparsed == rec
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: validate_poker_record(POKER_ROW), "big_blind"),
+    (lambda: validate_rummy_record(RUMMY_ROW), "is_winner"),
+    (lambda: poker_outcome(validate_poker_record(POKER_ROW)), "value_delta"),
+    (lambda: rummy_outcome(validate_rummy_record(RUMMY_ROW)), "won"),
+], ids=["poker", "rummy", "poker-outcome", "rummy-outcome"])
+def test_records_are_immutable(make, field):
+    obj = make()
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
