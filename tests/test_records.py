@@ -6,6 +6,7 @@ from cardskill.records import (
     RUMMY_COLUMNS,
     InvariantViolation,
     MissingField,
+    RecordError,
     FieldTypeError,
     WinnerContradiction,
     format_timestamp,
@@ -135,3 +136,105 @@ def test_records_are_immutable(make, field):
     obj = make()
     with pytest.raises(AttributeError):
         setattr(obj, field, getattr(obj, field))
+
+
+# The exact wording and field types of the row validators and to_row. The
+# column pass is held to the validators, so these pin both.
+POKER_REPR = (
+    "PokerHandRecord(user_id='u1', game_id='g1', "
+    "game_type=<PokerGameType.RING: 'Ring'>, "
+    "game_variant=<PokerVariant.TEXAS_HOLDEM: 'TexasHoldem'>, "
+    "big_blind=2.0, chips_placed=10.0, chips_won=0.0, num_players=6, "
+    "max_players=6, min_players=2, voluntary_entry=True, "
+    "game_start=1669888800000, game_end=1669889100000)")
+RUMMY_REPR = (
+    "RummyDealRecord(user_id='u1', game_id='g1', "
+    "game_type=<RummyGameType.POINTS: 'Points'>, game_variant=0.5, "
+    "max_players=6, actual_players=6, game_start=1669888800000, "
+    "game_end=1669890000000, deal_start=1669888800000, "
+    "deal_end=1669889100000, buy_in=100.0, win_amt=20.0, deal_id='d1', "
+    "deal_number=1, is_winner=True, winner_points=40, loss_points=0)")
+
+
+def test_validated_record_repr_is_pinned():
+    assert repr(validate_poker_record(POKER_ROW)) == POKER_REPR
+    assert repr(validate_rummy_record(RUMMY_ROW)) == RUMMY_REPR
+
+
+def test_to_row_text_is_pinned():
+    assert validate_poker_record(POKER_ROW).to_row() == [
+        "u1", "g1", "Ring", "TexasHoldem", "2", "10", "0", "6", "6", "2",
+        "1", "2022-12-01T10:00:00.000Z", "2022-12-01T10:05:00.000Z"]
+    rec = validate_rummy_record(
+        {**RUMMY_ROW, "game_variant": "0.25", "buy_in": "1e20"})
+    assert rec.to_row() == [
+        "u1", "g1", "Points", "0.25", "6", "6", "2022-12-01T10:00:00.000Z",
+        "2022-12-01T10:20:00.000Z", "2022-12-01T10:00:00.000Z",
+        "2022-12-01T10:05:00.000Z", "1e+20", "20", "d1", "1", "1", "40", "0"]
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("validate,base,changes,error,message", [
+    (validate_poker_record, POKER_ROW, {"big_blind": _DROP},
+     MissingField, "missing field: big_blind"),
+    (validate_poker_record, POKER_ROW, {"big_blind": ""},
+     MissingField, "missing field: big_blind"),
+    (validate_poker_record, POKER_ROW, {"big_blind": "inf"},
+     FieldTypeError, "field big_blind: cannot parse 'inf' as finite number"),
+    (validate_poker_record, POKER_ROW, {"big_blind": "lots"},
+     FieldTypeError, "field big_blind: cannot parse 'lots' as number"),
+    (validate_poker_record, POKER_ROW, {"num_players": "6.0"},
+     FieldTypeError, "field num_players: cannot parse '6.0' as integer"),
+    (validate_poker_record, POKER_ROW, {"voluntary_entry": " yes "},
+     FieldTypeError,
+     "field voluntary_entry: cannot parse 'yes' as 0/1 flag"),
+    (validate_poker_record, POKER_ROW, {"game_type": " ring "},
+     FieldTypeError, "field game_type: cannot parse 'ring' as Ring/Tournament"),
+    (validate_poker_record, POKER_ROW, {"game_start": " bad "},
+     FieldTypeError,
+     "field game_start: cannot parse ' bad ' as ISO-8601 timestamp"),
+    # The first failing field in column order decides.
+    (validate_poker_record, POKER_ROW,
+     {"game_end": "bad", "max_players": "x", "game_variant": "Stud"},
+     FieldTypeError,
+     "field game_variant: cannot parse 'Stud' as TexasHoldem/PLO"),
+    (validate_poker_record, POKER_ROW, {"big_blind": "0"},
+     InvariantViolation, "big_blind > 0 violated"),
+    (validate_poker_record, POKER_ROW, {"chips_won": "-1"},
+     InvariantViolation, "chip amounts must be >= 0"),
+    (validate_poker_record, POKER_ROW, {"num_players": "7"},
+     InvariantViolation, "min_players <= num_players <= max_players violated"),
+    (validate_poker_record, POKER_ROW, {"game_end": "2022-12-01T09:00:00Z"},
+     InvariantViolation, "game_start <= game_end violated"),
+    (validate_rummy_record, RUMMY_ROW, {"game_variant": "nan"},
+     FieldTypeError, "field game_variant: cannot parse 'nan' as finite number"),
+    (validate_rummy_record, RUMMY_ROW, {"game_type": "Ring"},
+     FieldTypeError, "field game_type: cannot parse 'Ring' as Points/Pool/Deal"),
+    (validate_rummy_record, RUMMY_ROW, {"deal_id": _DROP, "is_winner": "2"},
+     MissingField, "missing field: deal_id"),
+    (validate_rummy_record, RUMMY_ROW, {"deal_number": "1.0"},
+     FieldTypeError, "field deal_number: cannot parse '1.0' as integer"),
+    (validate_rummy_record, RUMMY_ROW, {"loss_points": "20"},
+     WinnerContradiction, "is_winner=1 but loss_points > 0"),
+    (validate_rummy_record, RUMMY_ROW, {"is_winner": "0"},
+     InvariantViolation, "is_winner=0 but winner_points > 0"),
+    (validate_rummy_record, RUMMY_ROW,
+     {"is_winner": "0", "winner_points": "0", "loss_points": "-3"},
+     InvariantViolation, "points must be >= 0"),
+    (validate_rummy_record, RUMMY_ROW, {"buy_in": "-1"},
+     InvariantViolation, "amounts must be >= 0"),
+    (validate_rummy_record, RUMMY_ROW, {"actual_players": "7"},
+     InvariantViolation, "actual_players <= max_players violated"),
+    (validate_rummy_record, RUMMY_ROW, {"deal_number": "0"},
+     InvariantViolation, "deal_number >= 1 violated"),
+    (validate_rummy_record, RUMMY_ROW, {"deal_end": "2022-12-01T09:00:00Z"},
+     InvariantViolation, "start <= end violated"),
+])
+def test_validator_wording_is_pinned(validate, base, changes, error, message):
+    raw = {k: v for k, v in {**base, **changes}.items() if v is not _DROP}
+    with pytest.raises(RecordError) as info:
+        validate(raw)
+    assert type(info.value) is error
+    assert str(info.value) == message
