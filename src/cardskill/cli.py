@@ -3,16 +3,18 @@
 Commands return 0 or raise. main() alone maps a raised error to an exit
 code through EXIT_CODES and prints one "error: ..." line to stderr:
 2, usage: a bad flag (argparse), --split-date not YYYY-MM, or an invalid
-simulator config value; 3, data: a log that is unreadable, not UTF-8 or
-badly headed, a thresholds or config file that is not a JSON object, a bad
-threshold key or value, a failed statistic, or an --out that cannot be
-written; 4, cohort: too few players for a test after filtering. Any other
-error is a bug and keeps its traceback.
+simulator config value; 3, data: a log that is unreadable, not UTF-8,
+badly headed or holds a field over the csv module's size limit, a
+thresholds or config file that is not a JSON object, a bad threshold key or
+value, a failed statistic, or an --out that cannot be written; 4, cohort:
+too few players for a test after filtering. Any other error is a bug and
+keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import os
@@ -146,15 +148,15 @@ def _undecodable_line(path: str) -> Optional[str]:
 
 @contextmanager
 def _reading(path: str):
-    """Re-raise a header, decoding or JSON error in path naming the file;
-    a decoding error also names the first line that is not UTF-8."""
+    """Re-raise a header, decoding, CSV or JSON error in path naming the
+    file; a decoding error also names the first line that is not UTF-8."""
     try:
         yield
     except UnicodeDecodeError as exc:
         # The decoder's position counts from its current 8 KiB block.
         raise RecordError(
             f"{path}: {_undecodable_line(path) or exc}") from exc
-    except (HeaderMismatch, json.JSONDecodeError) as exc:
+    except (HeaderMismatch, csv.Error, json.JSONDecodeError) as exc:
         raise RecordError(f"{path}: {exc}") from exc
 
 

@@ -8,7 +8,8 @@ which alone decides it and words its error, so the records, counts and
 messages are those of a row-by-row parse. Every accepted record is returned
 in one list, so memory grows with the log. Rows failing validation are
 counted and sampled (first 20 structured errors with line numbers), never
-fatal. Only a bad header or text that is not UTF-8 aborts a parse.
+fatal. Only a bad header, text that is not UTF-8 or a field longer than
+csv.field_size_limit() (csv.Error) aborts a parse.
 """
 
 from __future__ import annotations
@@ -18,21 +19,17 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Set,
-                    Tuple, Union)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .records import (
-    POKER_COLUMNS,
-    RUMMY_COLUMNS,
+    FIELDS,
     FieldTypeError,
+    Millis,
     PlayerTimeline,
-    PokerGameType,
     PokerHandRecord,
-    PokerVariant,
     Record,
     RecordError,
     RummyDealRecord,
-    RummyGameType,
     check_poker_record,
     check_rummy_record,
     parse_timestamp,
@@ -148,48 +145,28 @@ def _lookup(enum_cls) -> Callable:
     return _mapped({m.value: m for m in enum_cls}.__getitem__)
 
 
-_ints = _mapped(int)
-_flags = _mapped({"1": True, "0": False}.__getitem__)
+# The column converter of each field kind; an Enum's is _lookup(kind). Each
+# takes exactly the texts that its field's row validator takes unchanged. A
+# text the validator would strip or reject sends its row to the validator.
+_CONVERTERS = {str: _texts, float: _floats, int: _mapped(int),
+               bool: _mapped({"1": True, "0": False}.__getitem__),
+               Millis: _timestamps}
 
 
-class _Format(NamedTuple):
-    columns: List[str]
-    converters: tuple  # one per column, converter(texts, bad) -> values
-    record: type
-    check: Callable
-    validate: Callable
-
-
-# Each converter takes exactly the texts that its field's row validator
-# takes unchanged. A text the validator would strip or reject sends its row
-# to the validator.
-_POKER = _Format(
-    POKER_COLUMNS,
-    (_texts, _texts, _lookup(PokerGameType), _lookup(PokerVariant),
-     _floats, _floats, _floats, _ints, _ints, _ints, _flags,
-     _timestamps, _timestamps),
-    PokerHandRecord, check_poker_record, validate_poker_record,
-)
-_RUMMY = _Format(
-    RUMMY_COLUMNS,
-    (_texts, _texts, _lookup(RummyGameType), _floats, _ints, _ints,
-     _timestamps, _timestamps, _timestamps, _timestamps, _floats, _floats,
-     _texts, _ints, _flags, _ints, _ints),
-    RummyDealRecord, check_rummy_record, validate_rummy_record,
-)
-
-
-def _parse_log(stream, fmt: _Format) -> Tuple[list, IngestStats]:
+def _parse_log(stream, record: type, check: Callable,
+               validate: Callable) -> Tuple[list, IngestStats]:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     reader = csv.reader(text)
     header = [h.strip() for h in next(reader, [])]
-    missing = [c for c in fmt.columns if c not in header]
+    missing = [c for c in record._fields if c not in header]
     if missing:
         raise HeaderMismatch(missing)
-    index = {name: header.index(name) for name in fmt.columns}
+    index = {name: header.index(name) for name in record._fields}
     width = max(index.values()) + 1
+    converters = [(index[name], _CONVERTERS.get(kind) or _lookup(kind))
+                  for name, kind, _, _ in FIELDS[record]]
 
     stats = IngestStats()
     out = []
@@ -213,12 +190,11 @@ def _parse_log(stream, fmt: _Format) -> Tuple[list, IngestStats]:
             row + [""] * (width - len(row)) for row in rows]
         table = list(zip(*full))
         bad: Set[int] = set()
-        fields = [convert(table[index[name]], bad)
-                  for name, convert in zip(fmt.columns, fmt.converters)]
-        for i, rec in enumerate(map(fmt.record, *fields)):
+        fields = [convert(table[j], bad) for j, convert in converters]
+        for i, rec in enumerate(map(record, *fields)):
             if i not in bad:
                 try:
-                    out.append(fmt.check(rec))
+                    out.append(check(rec))
                     continue
                 except RecordError:
                     pass
@@ -228,7 +204,7 @@ def _parse_log(stream, fmt: _Format) -> Tuple[list, IngestStats]:
             raw = {name: row[j] if j < len(row) else ""
                    for name, j in index.items()}
             try:
-                out.append(fmt.validate(raw))
+                out.append(validate(raw))
             except RecordError as exc:
                 stats.record_error(lines[i], exc)
     stats.rows_accepted = len(out)
@@ -237,12 +213,14 @@ def _parse_log(stream, fmt: _Format) -> Tuple[list, IngestStats]:
 
 def parse_poker_log(stream) -> Tuple[List[PokerHandRecord], IngestStats]:
     """Parse a poker hand-history CSV. stream: bytes or binary file."""
-    return _parse_log(stream, _POKER)
+    return _parse_log(stream, PokerHandRecord, check_poker_record,
+                      validate_poker_record)
 
 
 def parse_rummy_log(stream) -> Tuple[List[RummyDealRecord], IngestStats]:
     """Parse a rummy deal-log CSV. stream: bytes or binary file."""
-    return _parse_log(stream, _RUMMY)
+    return _parse_log(stream, RummyDealRecord, check_rummy_record,
+                      validate_rummy_record)
 
 
 def _bucket(max_players: int) -> Union[int, str]:

@@ -224,22 +224,19 @@ def rummy_skill_variables(
     to the opponent-side mean.
     """
     outcomes = _require_outcomes(timeline)
-    n = len(outcomes)
-    wins = [o for o in outcomes if o.won]
-    losses = [o for o in outcomes if not o.won]
-    win_rate = len(wins) / n
-    if not losses:
+    avg_lost = _avg_points_lost_losing(outcomes)
+    if avg_lost is None:
         raise NoLosingDeals(f"player {timeline.user_id} has no losing deals")
-    avg_lost = sum(-o.value_delta for o in losses) / len(losses)
     opp_points: List[float] = []
-    for o in wins:
-        opp_points.extend(opponents_view.get(o.key, ()))
+    for o in outcomes:
+        if o.won:
+            opp_points.extend(opponents_view.get(o.key, ()))
     if not opp_points:
         raise NoWinningDeals(
             f"player {timeline.user_id} has no winning deals with opponent data"
         )
     avg_opp = sum(opp_points) / len(opp_points)
-    return win_rate, avg_lost, avg_opp
+    return _win_rate(outcomes), avg_lost, avg_opp
 
 
 def rank_average(values: Sequence[float]) -> List[float]:

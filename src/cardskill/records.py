@@ -10,8 +10,9 @@ Records and outcomes are typing.NamedTuples: immutable after construction,
 safe to share across threads, and about a fifth of the cost of a frozen
 dataclass to build. They compare equal to plain tuples of their fields; use
 _replace and _asdict, not dataclasses.replace and asdict.
-Timestamps are ISO-8601 UTC text in files and integer epoch milliseconds
-internally.
+The record type is the log format: its fields are the CSV columns in order,
+and each annotation is the field's kind: str, float, int, bool (a 0/1 flag),
+Millis (epoch milliseconds, ISO-8601 UTC text in files) or an Enum (by value).
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Mapping, NamedTuple, Optional, Union
+from operator import attrgetter
+from typing import (Mapping, NamedTuple, NewType, Optional, Union,
+                    get_type_hints)
+
+Millis = NewType("Millis", int)  # epoch milliseconds
 
 
 class RecordError(ValueError):
@@ -68,20 +73,6 @@ class RummyGameType(enum.Enum):
     DEAL = "Deal"
 
 
-POKER_COLUMNS = [
-    "user_id", "game_id", "game_type", "game_variant", "big_blind",
-    "chips_placed", "chips_won", "num_players", "max_players",
-    "min_players", "voluntary_entry", "game_start", "game_end",
-]
-
-RUMMY_COLUMNS = [
-    "user_id", "game_id", "game_type", "game_variant", "max_players",
-    "actual_players", "game_start", "game_end", "deal_start", "deal_end",
-    "buy_in", "win_amt", "deal_id", "deal_number", "is_winner",
-    "winner_points", "loss_points",
-]
-
-
 def parse_timestamp(text: str) -> int:
     """ISO-8601 UTC text -> epoch milliseconds. Naive times are taken as UTC."""
     try:
@@ -98,6 +89,12 @@ def format_timestamp(ms: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
+def _to_row(rec: Record) -> list:
+    """The record's log row: each field's text, in column order."""
+    return [text(value)
+            for (_, _, _, text), value in zip(FIELDS[type(rec)], rec)]
+
+
 class PokerHandRecord(NamedTuple):
     user_id: str
     game_id: str
@@ -110,23 +107,15 @@ class PokerHandRecord(NamedTuple):
     max_players: int
     min_players: int
     voluntary_entry: bool
-    game_start: int
-    game_end: int
+    game_start: Millis
+    game_end: Millis
 
     @property
     def value_delta_bb(self) -> float:
         """Net result of the hand, normalized to big-blind units."""
         return (self.chips_won - self.chips_placed) / self.big_blind
 
-    def to_row(self) -> list:
-        return [
-            self.user_id, self.game_id, self.game_type.value,
-            self.game_variant.value, _fmt(self.big_blind),
-            _fmt(self.chips_placed), _fmt(self.chips_won),
-            str(self.num_players), str(self.max_players),
-            str(self.min_players), "1" if self.voluntary_entry else "0",
-            format_timestamp(self.game_start), format_timestamp(self.game_end),
-        ]
+    to_row = _to_row
 
 
 class RummyDealRecord(NamedTuple):
@@ -136,10 +125,10 @@ class RummyDealRecord(NamedTuple):
     game_variant: float
     max_players: int
     actual_players: int
-    game_start: int
-    game_end: int
-    deal_start: int
-    deal_end: int
+    game_start: Millis
+    game_end: Millis
+    deal_start: Millis
+    deal_end: Millis
     buy_in: float
     win_amt: float
     deal_id: str
@@ -148,17 +137,7 @@ class RummyDealRecord(NamedTuple):
     winner_points: int
     loss_points: int
 
-    def to_row(self) -> list:
-        return [
-            self.user_id, self.game_id, self.game_type.value,
-            _fmt(self.game_variant), str(self.max_players),
-            str(self.actual_players), format_timestamp(self.game_start),
-            format_timestamp(self.game_end), format_timestamp(self.deal_start),
-            format_timestamp(self.deal_end), _fmt(self.buy_in),
-            _fmt(self.win_amt), self.deal_id, str(self.deal_number),
-            "1" if self.is_winner else "0", str(self.winner_points),
-            str(self.loss_points),
-        ]
+    to_row = _to_row
 
 
 class Outcome(NamedTuple):
@@ -174,7 +153,6 @@ class Outcome(NamedTuple):
     timestamp: int
     key: str
     voluntary_entry: Optional[bool] = None
-    sort_minor: int = 0  # deal_number tiebreak within identical timestamps
 
 
 @dataclass(frozen=True)
@@ -247,22 +225,45 @@ def _parse_ts(raw: Mapping[str, str], name: str) -> int:
         raise FieldTypeError(name, text, "ISO-8601 timestamp") from None
 
 
+# The row parser and the text form of each field kind but Enum subclasses.
+_KINDS = {
+    str: (_get, str),
+    float: (_parse_float, _fmt),
+    int: (_parse_int, str),
+    bool: (_parse_bool01, {True: "1", False: "0"}.__getitem__),
+    Millis: (_parse_ts, format_timestamp),
+}
+
+
+def _forms(kind) -> tuple:
+    if isinstance(kind, enum.EnumMeta):
+        return (lambda raw, name: _parse_enum(raw, name, kind),
+                attrgetter("value"))
+    return _KINDS[kind]
+
+
+def _columns(record: type) -> tuple:
+    """(name, kind, parse(raw, name), text(value)) for each field in order."""
+    hints = get_type_hints(record)
+    return tuple((name, hints[name], *_forms(hints[name]))
+                 for name in record._fields)
+
+
+# Resolved once at import: the row validators, to_row and ingest read it.
+FIELDS = {record: _columns(record)
+          for record in (PokerHandRecord, RummyDealRecord)}
+POKER_COLUMNS = list(PokerHandRecord._fields)
+RUMMY_COLUMNS = list(RummyDealRecord._fields)
+
+
+def _validate(record: type, raw: Mapping[str, str]) -> Record:
+    """raw's fields parsed in column order: the first bad field decides."""
+    return record._make([parse(raw, name)
+                         for name, _, parse, _ in FIELDS[record]])
+
+
 def validate_poker_record(raw: Mapping[str, str]) -> PokerHandRecord:
-    return check_poker_record(PokerHandRecord(
-        user_id=_get(raw, "user_id"),
-        game_id=_get(raw, "game_id"),
-        game_type=_parse_enum(raw, "game_type", PokerGameType),
-        game_variant=_parse_enum(raw, "game_variant", PokerVariant),
-        big_blind=_parse_float(raw, "big_blind"),
-        chips_placed=_parse_float(raw, "chips_placed"),
-        chips_won=_parse_float(raw, "chips_won"),
-        num_players=_parse_int(raw, "num_players"),
-        max_players=_parse_int(raw, "max_players"),
-        min_players=_parse_int(raw, "min_players"),
-        voluntary_entry=_parse_bool01(raw, "voluntary_entry"),
-        game_start=_parse_ts(raw, "game_start"),
-        game_end=_parse_ts(raw, "game_end"),
-    ))
+    return check_poker_record(_validate(PokerHandRecord, raw))
 
 
 def check_poker_record(rec: PokerHandRecord) -> PokerHandRecord:
@@ -281,25 +282,7 @@ def check_poker_record(rec: PokerHandRecord) -> PokerHandRecord:
 
 
 def validate_rummy_record(raw: Mapping[str, str]) -> RummyDealRecord:
-    return check_rummy_record(RummyDealRecord(
-        user_id=_get(raw, "user_id"),
-        game_id=_get(raw, "game_id"),
-        game_type=_parse_enum(raw, "game_type", RummyGameType),
-        game_variant=_parse_float(raw, "game_variant"),
-        max_players=_parse_int(raw, "max_players"),
-        actual_players=_parse_int(raw, "actual_players"),
-        game_start=_parse_ts(raw, "game_start"),
-        game_end=_parse_ts(raw, "game_end"),
-        deal_start=_parse_ts(raw, "deal_start"),
-        deal_end=_parse_ts(raw, "deal_end"),
-        buy_in=_parse_float(raw, "buy_in"),
-        win_amt=_parse_float(raw, "win_amt"),
-        deal_id=_get(raw, "deal_id"),
-        deal_number=_parse_int(raw, "deal_number"),
-        is_winner=_parse_bool01(raw, "is_winner"),
-        winner_points=_parse_int(raw, "winner_points"),
-        loss_points=_parse_int(raw, "loss_points"),
-    ))
+    return check_rummy_record(_validate(RummyDealRecord, raw))
 
 
 def check_rummy_record(rec: RummyDealRecord) -> RummyDealRecord:
@@ -339,7 +322,6 @@ def rummy_outcome(rec: RummyDealRecord) -> Outcome:
         value_delta=delta,
         timestamp=rec.game_start,
         key=rec.deal_id,
-        sort_minor=rec.deal_number,
     )
 
 

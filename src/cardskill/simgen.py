@@ -396,7 +396,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
         else:
             for player, gid, won, delta, _ in rows:
                 staged.setdefault(player, []).append(
-                    Outcome(won, delta, ts, gid + "d1", sort_minor=1))
+                    Outcome(won, delta, ts, gid + "d1"))
     return {
         player: PlayerTimeline(player, config.table_size, tuple(outs))
         for player, outs in sorted(staged.items())

@@ -30,7 +30,6 @@ def rummy_timeline(points, user_id="u1", start=0, step=HOUR_MS):
             value_delta=float(p),
             timestamp=start + i * step,
             key=f"d{i:04d}",
-            sort_minor=1,
         )
         for i, p in enumerate(points)
     )

@@ -28,6 +28,15 @@ def non_utf8(data: bytes, pos: int) -> bytes:
     return data[:pos] + b"\xff" + data[pos + 1:]
 
 
+def oversized_field(data: bytes, line: int) -> bytes:
+    """data with the first field of a line 200k characters long, beyond
+    csv.field_size_limit()."""
+    lines = data.split(b"\n")
+    rest = lines[line - 1][lines[line - 1].index(b","):]
+    lines[line - 1] = b"u" * 200_000 + rest
+    return b"\n".join(lines)
+
+
 @pytest.fixture(scope="module")
 def log_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("log") / "poker_log.csv"
@@ -63,6 +72,12 @@ CASES = [
      lambda p: ["ingest", "--game", "poker", p["IN"]],
      EXIT_DATA, "IN"),
     ("analyze-non-utf8", non_utf8(BASE_LOG, 300),
+     lambda p: _analyze(p["IN"], p["OUT"]),
+     EXIT_DATA, "IN"),
+    ("ingest-oversized-field", oversized_field(BASE_LOG, 3),
+     lambda p: ["ingest", "--game", "poker", p["IN"]],
+     EXIT_DATA, "IN"),
+    ("analyze-oversized-field", oversized_field(BASE_LOG, 3),
      lambda p: _analyze(p["IN"], p["OUT"]),
      EXIT_DATA, "IN"),
     ("config-list", b"[1]",
