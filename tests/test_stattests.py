@@ -121,6 +121,62 @@ class TestPersistence:
         assert a.bootstrap_ci95 == b.bootstrap_ci95
 
 
+def _independent_cohort(n_players, games, seed):
+    """Each player has a win probability p ~ U(0.2, 0.8) and draws `games`
+    wins at p in each period independently, so 0 < r < 1; split at 1000 h."""
+    split_ms = 1000 * HOUR_MS
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 0.8, size=n_players)
+    wins = rng.random((n_players, 2, games)) < p[:, None, None]
+    timelines = {}
+    for i in range(n_players):
+        a = wins_timeline(wins[i, 0].tolist(), user_id=f"u{i}", start=0)
+        b = wins_timeline(wins[i, 1].tolist(), user_id=f"u{i}",
+                          start=split_ms)
+        timelines[f"u{i}"] = PlayerTimeline(
+            user_id=f"u{i}",
+            table_size=2,
+            outcomes=a.outcomes + b.outcomes,
+        )
+    return timelines, split_ms
+
+
+@pytest.fixture(scope="module")
+def wide_cohort():
+    """2**16 + 1 players: wider than one bootstrap block of 2**16 values."""
+    return _independent_cohort(2**16 + 1, 3, seed=11)
+
+
+class TestBootstrapPinned:
+    """The bootstrap CI's exact bits, captured from the one-shot
+    n_boot x n resample; the blocked resample must reproduce them."""
+
+    def test_copied_periods_cohort(self):
+        rng = np.random.default_rng(9)
+        patterns = [list(rng.random(40) < p)
+                    for p in rng.uniform(0.2, 0.8, size=30)]
+        timelines, split_ms = _two_period_cohort(patterns)
+        res = persistence_test(timelines, split=split_ms, min_games=10, seed=3)
+        assert repr(res.r) == "1.0"
+        assert repr(res.bootstrap_ci95) == "(1.0, 1.0)"
+
+    def test_independent_periods_cohort(self):
+        timelines, split_ms = _independent_cohort(30, 40, seed=9)
+        res = persistence_test(timelines, split=split_ms, min_games=10, seed=3)
+        assert repr(res.r) == "0.9434658334792217"
+        assert repr(res.bootstrap_ci95) == (
+            "(0.907691104845267, 0.96940880951566)")
+
+    def test_wider_than_a_block(self, wide_cohort):
+        timelines, split_ms = wide_cohort
+        res = persistence_test(timelines, split=split_ms, min_games=3,
+                               n_boot=3, seed=4)
+        assert res.n_players == 2**16 + 1
+        assert repr(res.r) == "0.2874141378407645"
+        assert repr(res.bootstrap_ci95) == (
+            "(0.28460574649081377, 0.29301723145350717)")
+
+
 class TestFits:
     def test_power_recovery_noiseless(self):
         xs = np.arange(1.0, 25.0)
