@@ -67,6 +67,9 @@ IMPROVING = "Improving"
 FLAT = "Flat"
 WORSENING = "Worsening"
 
+# Index values the persistence bootstrap draws at once (at least one row).
+BOOT_BLOCK = 1 << 16
+
 SKILL_DOMINANT = "SkillDominant"
 CHANCE_DOMINANT = "ChanceDominant"
 INCONCLUSIVE = "Inconclusive"
@@ -246,7 +249,14 @@ def persistence_test(
     seed: int = 0,
 ) -> PersistenceResult:
     """Correlate a per-player skill variable across the two periods either
-    side of the split, over players with >= min_games in each period."""
+    side of the split, over players with >= min_games in each period.
+
+    The percentile CI comes from n_boot resamples of the players, drawn in
+    blocks of about BOOT_BLOCK values, so its memory is O(BOOT_BLOCK), not
+    O(n_boot x players); the draws and the CI equal one n_boot x players
+    draw from the same seed."""
+    if n_boot < 1:
+        raise ValueError("n_boot must be >= 1")
     metric_fn = METRICS[metric]
     split_ms = resolve_split(timelines, split)
 
@@ -278,14 +288,17 @@ def persistence_test(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     n = len(pairs)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    bx = xs[idx]
-    by = ys[idx]
-    bx = bx - bx.mean(axis=1, keepdims=True)
-    by = by - by.mean(axis=1, keepdims=True)
-    denom = np.sqrt((bx * bx).sum(axis=1) * (by * by).sum(axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rs = (bx * by).sum(axis=1) / denom
+    rows = max(1, BOOT_BLOCK // n)
+    rs = np.empty(n_boot)
+    for s in range(0, n_boot, rows):
+        idx = rng.integers(0, n, size=(min(rows, n_boot - s), n))
+        bx = xs[idx]
+        by = ys[idx]
+        bx -= bx.mean(axis=1, keepdims=True)
+        by -= by.mean(axis=1, keepdims=True)
+        denom = np.sqrt((bx * bx).sum(axis=1) * (by * by).sum(axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rs[s:s + len(idx)] = (bx * by).sum(axis=1) / denom
     rs = rs[np.isfinite(rs)]
     lo, hi = (float(np.quantile(rs, 0.025)), float(np.quantile(rs, 0.975)))
     lo, hi = min(lo, r), max(hi, r)

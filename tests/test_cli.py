@@ -6,6 +6,7 @@ import pytest
 
 from cardskill import cli
 from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, main
+from cardskill.metrics import METRICS
 
 
 def run(argv):
@@ -120,6 +121,19 @@ def test_analyze_deterministic_verdict_bytes(sim_dir, tmp_path):
         ]) == EXIT_OK
         blobs.append((out / "verdict.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_analyze_each_metric(sim_dir, tmp_path, metric):
+    out = tmp_path / "r"
+    assert run([
+        "analyze", "--game", "poker", "--table-size", "2",
+        "--metric", metric, "--out", str(out),
+        str(sim_dir / "poker_log.csv"),
+    ]) == EXIT_OK
+    doc = json.loads((out / "verdict.json").read_text())
+    assert doc["persistence"]["metric"] == metric
+    assert doc["learning"]["metric"] == metric
 
 
 def test_analyze_empty_cohort_exit_code(sim_dir, tmp_path, capsys):

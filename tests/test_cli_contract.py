@@ -202,7 +202,8 @@ ANALYZE_FLAGS = [
     _flag("--max-games", ["40", "100", "5"], ["0"]),
     _flag("--bin-width", ["1", "5", "10"], ["0"]),
     _flag("--metric", ["win_rate", "bb_per_100", "tightness",
-                       "avg_points_lost_losing"], ["nope"]),
+                       "avg_points_lost_losing", "avg_blind_lost",
+                       "net_positive_share"], ["nope"]),
     _flag("--split-date", ["2022-12", "2023-01", "2024-01"],
           ["2023-13", "2023-1", "x"]),
     _flag("--quantile-groups", ["2", "4", "30"], ["1"]),

@@ -7,6 +7,7 @@ from scipy.stats import rankdata
 
 from cardskill.metrics import (
     LOST,
+    METRICS,
     WON,
     DomainError,
     EmptyTimeline,
@@ -113,6 +114,31 @@ class TestTightness:
     def test_missing_flags(self):
         with pytest.raises((MissingVoluntaryEntry, EmptyTimeline)):
             tightness(rummy_timeline([10, -5]))
+
+
+class TestWindowMetrics:
+    """The two --metric choices with no series function of their own,
+    applied to one window of outcomes as persistence and learning do."""
+
+    @pytest.mark.parametrize("deltas,share", [
+        ([4, -2, 6, -2], 1.0),
+        ([2, -2], 0.0),      # break-even is not net positive
+        ([-1, -3], 0.0),
+        ([0.5], 1.0),
+    ])
+    def test_net_positive_share(self, deltas, share):
+        outcomes = poker_timeline(deltas).outcomes
+        assert METRICS["net_positive_share"](outcomes) == share
+
+    @pytest.mark.parametrize("deltas,lost", [
+        ([4, -2, 6, -3], 2.5),
+        ([-1, -2, -6], 3.0),
+        ([-0.5, 1, -0.25], 0.375),
+        ([4, 0, 6], None),   # no losses: a zero delta is not a loss
+    ])
+    def test_avg_blind_lost(self, deltas, lost):
+        outcomes = poker_timeline(deltas).outcomes
+        assert METRICS["avg_blind_lost"](outcomes) == lost
 
 
 class TestRummySkillVariables:

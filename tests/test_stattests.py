@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cardskill import stattests
 from cardskill.records import Outcome, PlayerTimeline
 from cardskill.stattests import (
     CHANCE_DOMINANT,
@@ -175,6 +178,89 @@ class TestBootstrapPinned:
         assert repr(res.r) == "0.2874141378407645"
         assert repr(res.bootstrap_ci95) == (
             "(0.28460574649081377, 0.29301723145350717)")
+
+
+def _one_shot_bootstrap(res, n_boot, seed):
+    """The CI from one n_boot x n resample, as persistence_test computed it
+    before it drew in blocks, and how many resamples were non-finite."""
+    xs = np.array([p[1] for p in res.pairs])
+    ys = np.array([p[2] for p in res.pairs])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    idx = rng.integers(0, len(xs), size=(n_boot, len(xs)))
+    bx = xs[idx]
+    by = ys[idx]
+    bx = bx - bx.mean(axis=1, keepdims=True)
+    by = by - by.mean(axis=1, keepdims=True)
+    denom = np.sqrt((bx * bx).sum(axis=1) * (by * by).sum(axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rs = (bx * by).sum(axis=1) / denom
+    finite = rs[np.isfinite(rs)]
+    lo, hi = (float(np.quantile(finite, 0.025)),
+              float(np.quantile(finite, 0.975)))
+    return (min(lo, res.r), max(hi, res.r)), len(rs) - len(finite)
+
+
+@lru_cache(maxsize=None)
+def _cohort_of(n_players):
+    return _independent_cohort(n_players, 10, seed=n_players)
+
+
+class TestBootstrapBlocks:
+    """The blocked bootstrap equals the one-shot formula bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["block-default",
+                                                     "block-7"])
+    @pytest.mark.parametrize("n_boot", [1, 7, 1000])
+    @pytest.mark.parametrize("n_players", [3, 7, 1001])
+    def test_equals_one_shot(self, monkeypatch, n_players, n_boot, block):
+        # block 7 gives 2 rows per block at n=3 and 1 row at n >= 4, so
+        # the last block is partial whenever n_boot is odd
+        if block is not None:
+            monkeypatch.setattr(stattests, "BOOT_BLOCK", block)
+        timelines, split_ms = _cohort_of(n_players)
+        res = persistence_test(timelines, split=split_ms, min_games=10,
+                               n_boot=n_boot, seed=5)
+        assert res.n_players == n_players
+        ci, _ = _one_shot_bootstrap(res, n_boot, seed=5)
+        assert res.bootstrap_ci95 == ci
+
+    def test_degenerate_resamples_are_dropped(self):
+        # n = 3: a resample of one player three times has zero variance
+        timelines, split_ms = _cohort_of(3)
+        res = persistence_test(timelines, split=split_ms, min_games=10,
+                               n_boot=1000, seed=5)
+        ci, dropped = _one_shot_bootstrap(res, 1000, seed=5)
+        assert dropped > 0
+        assert res.bootstrap_ci95 == ci
+
+    def test_one_row_per_block_when_wider_than_a_block(self, wide_cohort):
+        timelines, split_ms = wide_cohort
+        assert max(1, stattests.BOOT_BLOCK // len(timelines)) == 1
+        res = persistence_test(timelines, split=split_ms, min_games=3,
+                               n_boot=3, seed=4)
+        ci, _ = _one_shot_bootstrap(res, 3, seed=4)
+        assert res.bootstrap_ci95 == ci
+
+    def test_peak_memory_does_not_grow_with_n_boot(self):
+        timelines, split_ms = _cohort_of(1001)
+
+        def peak(n_boot):
+            tracemalloc.start()
+            try:
+                persistence_test(timelines, split=split_ms, min_games=10,
+                                 n_boot=n_boot, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2 * peak(200)
+
+    @pytest.mark.parametrize("n_boot", [0, -5])
+    def test_n_boot_below_one_rejected(self, n_boot):
+        timelines, split_ms = _cohort_of(3)
+        with pytest.raises(ValueError, match="n_boot"):
+            persistence_test(timelines, split=split_ms, min_games=10,
+                             n_boot=n_boot)
 
 
 class TestFits:
