@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import os
 import sys
@@ -31,7 +30,7 @@ from .ingest import (
     parse_rummy_log,
 )
 from .metrics import METRICS, MetricError
-from .records import RecordError, parse_timestamp
+from .records import RecordError, gc_paused, parse_timestamp
 from .report import atomic_write, build_manifest, write_reports
 from .simgen import ConfigInvalid, SimConfig, finite_number, simulate
 from .stattests import (
@@ -283,21 +282,13 @@ def cmd_version(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    # A run allocates several container objects per log row, almost none of
-    # them in reference cycles. The cyclic collector would rescan all of them
-    # in repeated full passes (6 on a 200k-row log), and reference counting
-    # frees them without it.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return args.run(args)
-    except tuple(c for classes, _ in EXIT_CODES for c in classes) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for classes, code in EXIT_CODES
-                    if isinstance(exc, classes))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with gc_paused():
+        try:
+            return args.run(args)
+        except tuple(c for classes, _ in EXIT_CODES for c in classes) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for classes, code in EXIT_CODES
+                        if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
+
+import numpy as np
 
 from .records import Outcome, PlayerTimeline
 
@@ -61,44 +65,85 @@ LOST = "Lost"
 
 
 # ---------------------------------------------------------------------------
-# Per-window metric functions. Each maps a slice of outcomes to a value,
-# or None when the metric is undefined on that slice (e.g. no losses).
+# Window metrics: each is one reduction over Segments of a run of outcomes,
+# one value per segment, or None where it is undefined (e.g. no losses).
 
-def _win_rate(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return sum(1 for o in outcomes if o.won) / len(outcomes)
-
-
-def _bb_per_100(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return 100.0 * sum(o.value_delta for o in outcomes) / len(outcomes)
-
-
-def _avg_points_lost_losing(outcomes: Sequence[Outcome]) -> Optional[float]:
-    losses = [-o.value_delta for o in outcomes if not o.won]
-    return sum(losses) / len(losses) if losses else None
+def column(outcomes: Sequence[Outcome], name: str) -> np.ndarray:
+    """The field `name` of each outcome, in order; None reads as nan."""
+    dtype = {"won": bool, "timestamp": np.int64}.get(name, float)
+    return np.fromiter(map(itemgetter(Outcome._fields.index(name)), outcomes),
+                       dtype, len(outcomes))
 
 
-def _avg_win_magnitude(outcomes: Sequence[Outcome]) -> Optional[float]:
-    wins = [o.value_delta for o in outcomes if o.value_delta > 0]
-    return sum(wins) / len(wins) if wins else None
+class Segments(NamedTuple):
+    """Segments [starts[i], stops[i]) of a run of outcomes, in their own
+    order or the given one. Counts are integer cumsum differences; sums are
+    the built-in sum of each segment's values in run order, as numpy's
+    pairwise sums would move low-order bits."""
+
+    outcomes: Sequence[Outcome]
+    starts: np.ndarray
+    stops: np.ndarray
+    order: Optional[np.ndarray] = None
+
+    def column(self, name: str) -> np.ndarray:
+        values = column(self.outcomes, name)
+        return values if self.order is None else values[self.order]
+
+    def lengths(self) -> List[int]:
+        return (self.stops - self.starts).tolist()
+
+    def counts(self, flags: np.ndarray) -> List[int]:
+        c = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+        return (c[self.stops] - c[self.starts]).tolist()
+
+    def sums(self, values: np.ndarray) -> list:
+        v = values.tolist()
+        return [sum(v[a:b]) for a, b in zip(self.starts.tolist(),
+                                             self.stops.tolist())]
+
+    def mean_delta(self, sign: int, mask: np.ndarray | None = None) -> list:
+        """Each segment's mean of sign * value_delta where mask (default:
+        where that is > 0), or None. The other values add 0.0 to the running
+        sum, which leaves its bits as they are."""
+        values = sign * self.column("value_delta")
+        mask = values > 0 if mask is None else mask
+        return [s / n if n else None for s, n in zip(
+            self.sums(np.where(mask, values, 0.0)), self.counts(mask))]
 
 
-def _avg_loss_magnitude(outcomes: Sequence[Outcome]) -> Optional[float]:
-    losses = [-o.value_delta for o in outcomes if o.value_delta < 0]
-    return sum(losses) / len(losses) if losses else None
+class Metric(NamedTuple):
+    """A window metric, defined once as its reduction over Segments."""
+
+    segments: Callable[[Segments], List[Optional[float]]]
+
+    def __call__(self, outcomes: Sequence[Outcome]) -> Optional[float]:
+        """The metric over one window of outcomes."""
+        return self.segments(Segments(outcomes, np.zeros(1, int),
+                                      np.full(1, len(outcomes))))[0]
 
 
-def _tightness(outcomes: Sequence[Outcome]) -> Optional[float]:
-    flags = [o.voluntary_entry for o in outcomes]
-    if any(f is None for f in flags):
-        return None
-    return 1.0 - sum(1 for f in flags if f) / len(flags)
+# Each window metric's reduction.
+@Metric
+def _tightness(seg: Segments) -> List[Optional[float]]:
+    flags = seg.column("voluntary_entry")
+    return [None if m else 1.0 - v / n for m, v, n in zip(
+        seg.counts(np.isnan(flags)), seg.counts(flags == 1.0), seg.lengths())]
 
 
-def _net_positive(outcomes: Sequence[Outcome]) -> Optional[float]:
-    return 1.0 if sum(o.value_delta for o in outcomes) > 0 else 0.0
+_win_rate = Metric(lambda seg: [
+    w / n for w, n in zip(seg.counts(seg.column("won")), seg.lengths())])
+_bb_per_100 = Metric(lambda seg: [
+    100.0 * s / n
+    for s, n in zip(seg.sums(seg.column("value_delta")), seg.lengths())])
+_avg_points_lost_losing = Metric(
+    lambda seg: seg.mean_delta(-1, ~seg.column("won")))
+_avg_win_magnitude = Metric(lambda seg: seg.mean_delta(+1))
+_avg_loss_magnitude = Metric(lambda seg: seg.mean_delta(-1))
+_net_positive = Metric(lambda seg: [
+    1.0 if s > 0 else 0.0 for s in seg.sums(seg.column("value_delta"))])
 
-
-METRICS: Dict[str, Callable[[Sequence[Outcome]], Optional[float]]] = {
+METRICS: Dict[str, Metric] = {
     "win_rate": _win_rate,
     "bb_per_100": _bb_per_100,
     "avg_points_lost_losing": _avg_points_lost_losing,
@@ -150,13 +195,9 @@ def _require_outcomes(timeline: PlayerTimeline) -> Sequence[Outcome]:
 
 def win_probability_series(timeline: PlayerTimeline) -> SkillSeries:
     """Cumulative wins/games after each game, k = 1..n."""
-    outcomes = _require_outcomes(timeline)
-    points = []
-    wins = 0
-    for k, o in enumerate(outcomes, start=1):
-        wins += 1 if o.won else 0
-        points.append((k, wins / k))
-    return SkillSeries("WinProbability", tuple(points), timeline.user_id)
+    wins = np.cumsum(column(_require_outcomes(timeline), "won")).tolist()
+    points = tuple((k, w / k) for k, w in enumerate(wins, start=1))
+    return SkillSeries("WinProbability", points, timeline.user_id)
 
 
 def avg_blind_amount(
@@ -173,11 +214,10 @@ def avg_blind_amount(
     if any(o.voluntary_entry is None for o in outcomes):
         raise NotPoker("blind amounts are defined for poker timelines only")
     mean = _avg_win_magnitude if side == WON else _avg_loss_magnitude
-    points = []
-    for b in range(0, len(outcomes), bin_width):
-        value = mean(outcomes[b : b + bin_width])
-        if value is not None:
-            points.append((b // bin_width + 1, value))
+    starts = np.arange(0, len(outcomes), bin_width)
+    values = mean.segments(Segments(outcomes, starts, np.minimum(
+        starts + bin_width, len(outcomes))))
+    points = [(b + 1, v) for b, v in enumerate(values) if v is not None]
     name = "AvgBlindWon" if side == WON else "AvgBlindLost"
     return SkillSeries(name, tuple(points), timeline.user_id)
 

@@ -18,10 +18,12 @@ Millis (epoch milliseconds, ISO-8601 UTC text in files) or an Enum (by value).
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
-from typing import (Mapping, NamedTuple, NewType, Optional, Union,
+from typing import (Iterator, Mapping, NamedTuple, NewType, Optional, Union,
                     get_type_hints)
 
 Millis = NewType("Millis", int)  # epoch milliseconds
@@ -165,6 +167,18 @@ class PlayerTimeline:
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its prior state:
+    records and outcomes form no cycles for its passes to free."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def _fmt(x: float) -> str:

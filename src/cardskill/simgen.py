@@ -18,7 +18,8 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .records import (
     PlayerTimeline,
     _fmt,
     format_timestamp,
+    gc_paused,
     parse_timestamp,
 )
 
@@ -43,6 +45,7 @@ EXPONENTIAL = "exponential"
 BASE_START = parse_timestamp("2022-12-01T00:00:00Z")
 SPAN_MS = 62 * 86_400_000  # Dec 2022 + Jan 2023
 GAME_DURATION_MS = 60_000
+TIMELINE_CHUNK = 1 << 16  # about how many outcomes to build at once
 
 
 class ConfigInvalid(ValueError):
@@ -158,22 +161,10 @@ class SimConfig:
             raise ConfigInvalid("seed", "must be an unsigned 64-bit integer")
 
     def as_dict(self) -> dict:
-        d = {
-            "game": self.game, "table_size": self.table_size,
-            "n_players": self.n_players,
-            "games_per_player": self.games_per_player, "mode": self.mode,
-            "skill_sd": self.skill_sd, "learning_curve": self.learning_curve,
-            "learning_b": self.learning_b, "learning_alpha": self.learning_alpha,
-            "points_mu": self.points_mu, "points_sd": self.points_sd,
-            "points_skill_coeff": self.points_skill_coeff,
-            "points_cap": list(self.points_cap),
-            "value_per_point": self.value_per_point,
-            "vpip_start": self.vpip_start, "vpip_end": self.vpip_end,
-            "big_blind": self.big_blind,
-            "min_games_per_player": self.min_games_per_player,
-            "stagger_starts": self.stagger_starts,
-            "seed": self.seed,
-        }
+        """Every field but skill_overrides, in declaration order."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "skill_overrides"}
+        d["points_cap"] = list(self.points_cap)
         return d
 
 
@@ -211,7 +202,8 @@ def _learning_delta(config: SimConfig, n: np.ndarray) -> np.ndarray:
 
 
 def _planted(config: SimConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(skills, quotas, start offsets), reproducible from the seed alone."""
+    """(skills, quotas, start offsets) of a valid config, from the seed."""
+    config.validate()
     n = config.n_players
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
     if config.mode == CHANCE:
@@ -238,7 +230,6 @@ def _planted(config: SimConfig) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def ground_truth(config: SimConfig) -> GroundTruth:
-    config.validate()
     skills, quotas, _ = _planted(config)
     return _truth(config, skills, quotas)
 
@@ -254,30 +245,29 @@ def _truth(config: SimConfig, skills: np.ndarray,
     )
 
 
-@dataclass
-class _Round:
-    index: int
-    timestamp: int
-    seated: np.ndarray        # (tables, size) player indices
-    winner_col: np.ndarray    # (tables,)
-    voluntary: Optional[np.ndarray] = None   # poker (tables, size) bool
-    contrib: Optional[np.ndarray] = None     # poker (tables, size) in chips
-    loss_points: Optional[np.ndarray] = None  # rummy (tables, size) int
+def _players(config: SimConfig) -> List[str]:
+    """The user ids, of one width, so their text order is their index order."""
+    pw = max(5, len(str(config.n_players)))
+    return [f"p{i:0{pw}d}" for i in range(config.n_players)]
 
 
-def _generate(config: SimConfig) -> Tuple[List[_Round], np.ndarray, np.ndarray]:
-    """Run the matchmaking/game loop once; both CSV emission and direct
-    timeline construction consume the same rounds."""
-    config.validate()
-    skills, quotas, offsets = _planted(config)
+def _seats(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
+           offsets: np.ndarray) -> Iterator[Tuple[int, np.ndarray, List[str],
+                                                   Tuple[np.ndarray, ...]]]:
+    """Run the matchmaking/game loop, for CSV emission and for direct
+    timeline construction alike. Each round is (timestamp, seated players
+    (tables, size), the tables' game ids, seat columns in the log order of
+    seated.ravel()): poker (won, value_delta_bb, voluntary, chips_placed,
+    chips_won); rummy (won, value_delta_points, points), where points are
+    the winner's points or the loser's loss points."""
     size = config.table_size
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed).spawn(1)[0]
     )
     total_rounds = int((offsets + quotas).max())
     step = max(SPAN_MS // max(total_rounds, 1), 1)
+    gw = max(5, len(str(config.games_per_player * 2)))
     played = np.zeros(config.n_players, dtype=int)
-    rounds: List[_Round] = []
 
     for r in range(total_rounds):
         active = np.nonzero((offsets <= r) & (played < quotas))[0]
@@ -289,67 +279,36 @@ def _generate(config: SimConfig) -> Tuple[List[_Round], np.ndarray, np.ndarray]:
         exp_before = played[seated]
         eff = skills[seated] + _learning_delta(config, exp_before.astype(float))
         gumbel = rng.gumbel(size=seated.shape)
-        winner_col = np.argmax(eff + gumbel, axis=1)
-
-        rnd = _Round(
-            index=r,
-            timestamp=BASE_START + r * step,
-            seated=seated,
-            winner_col=winner_col,
-        )
+        is_winner = np.zeros(seated.shape, dtype=bool)
+        is_winner[np.arange(n_tables), np.argmax(eff + gumbel, axis=1)] = True
         if config.game == POKER:
             frac = exp_before / np.maximum(quotas[seated] - 1, 1)
             vpip = config.vpip_start + (config.vpip_end - config.vpip_start) * frac
-            rnd.voluntary = rng.random(seated.shape) < vpip
+            voluntary = rng.random(seated.shape) < vpip
             # everyone posts one blind; a voluntary entry adds four more
-            rnd.contrib = config.big_blind * (1.0 + 4.0 * rnd.voluntary)
+            contrib = config.big_blind * (1.0 + 4.0 * voluntary)
+            chips_won = np.where(is_winner, contrib.sum(axis=1)[:, None], 0.0)
+            delta = (chips_won - contrib) / config.big_blind
+            cols = (delta > 0, delta, voluntary, contrib, chips_won)
         else:
             mu = config.points_mu - config.points_skill_coeff * eff
             raw = rng.normal(mu, config.points_sd)
             pts = np.clip(np.rint(raw), *config.points_cap).astype(int)
-            pts[np.arange(n_tables), winner_col] = 0
-            rnd.loss_points = pts
-        played[seated] += 1
-        rounds.append(rnd)
-    return rounds, skills, quotas
-
-
-def _seats(config: SimConfig,
-           rounds: List[_Round]) -> Iterator[Tuple[int, List[tuple]]]:
-    """Each round's (timestamp, rows), one row per (table, seat) in log order:
-
-    poker: (player, game_id, won, value_delta_bb, voluntary, chips_placed,
-    chips_won); rummy: (player, game_id, won, value_delta_points, points),
-    where points are the winner's points or the loser's loss points.
-    Values are Python scalars, and the seats of one table share one
-    game_id string.
-    """
-    pw = max(5, len(str(config.n_players)))
-    gw = max(5, len(str(config.games_per_player * 2)))
-    players = [f"p{i:0{pw}d}" for i in range(config.n_players)]
-    for rnd in rounds:
-        n_tables, size = rnd.seated.shape
-        tables = [f"g{rnd.index:0{gw}d}t{t:05d}" for t in range(n_tables)]
-        seat_players = [players[i] for i in rnd.seated.ravel().tolist()]
-        seat_games = [g for g in tables for _ in range(size)]
-        is_winner = np.zeros(rnd.seated.shape, dtype=bool)
-        is_winner[np.arange(n_tables), rnd.winner_col] = True
-        if config.game == POKER:
-            chips_won = np.where(is_winner, rnd.contrib.sum(axis=1)[:, None], 0.0)
-            delta = (chips_won - rnd.contrib) / config.big_blind
-            cols = (delta > 0, delta, rnd.voluntary, rnd.contrib, chips_won)
-        else:
-            points = np.where(is_winner, rnd.loss_points.sum(axis=1)[:, None],
-                              rnd.loss_points)
+            pts[is_winner] = 0
+            points = np.where(is_winner, pts.sum(axis=1)[:, None], pts)
             delta = np.where(is_winner, points, -points).astype(float)
             cols = (is_winner, delta, points)
-        yield rnd.timestamp, list(zip(
-            seat_players, seat_games, *(c.ravel().tolist() for c in cols)))
+        played[seated] += 1
+        prefix = f"g{r:0{gw}d}t"
+        yield (BASE_START + r * step, seated,
+               [f"{prefix}{t:05d}" for t in range(n_tables)],
+               tuple(c.ravel() for c in cols))
 
 
 def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     """Generate a CSV log (ingest's exact schema) plus the ground truth."""
-    rounds, skills, quotas = _generate(config)
+    skills, quotas, offsets = _planted(config)
+    players = _players(config)
     poker = config.game == POKER
     size = str(config.table_size)
     bb = _fmt(config.big_blind)
@@ -358,9 +317,12 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(POKER_COLUMNS if poker else RUMMY_COLUMNS)
-    for ts, rows in _seats(config, rounds):
+    for ts, seated, tables, cols in _seats(config, skills, quotas, offsets):
         start = format_timestamp(ts)
         end = format_timestamp(ts + GAME_DURATION_MS)
+        rows = zip([players[i] for i in seated.ravel().tolist()],
+                   [g for g in tables for _ in range(config.table_size)],
+                   *(c.tolist() for c in cols))
         if poker:
             writer.writerows(
                 [player, gid, "Ring", "TexasHoldem", bb, _fmt(placed),
@@ -383,21 +345,42 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
 
     Equal to the config's table-size bucket of
     build_timelines(parse_*_log(simulate(config))), field types included,
-    at a fraction of the cost; used for large validation cohorts.
+    at a fraction of the cost; used for large validation cohorts. The rounds
+    fill flat columns, ordered player-major by one stable argsort, and the
+    outcomes are built player by player in runs of about TIMELINE_CHUNK, so
+    each timeline lies together in memory; a round's outcomes share one
+    timestamp, a table's one key. The cyclic collector is paused meanwhile.
     """
-    rounds, _, _ = _generate(config)
-    staged: Dict[str, List[Outcome]] = {}
-    poker = config.game == POKER
-    for ts, rows in _seats(config, rounds):
-        if poker:
-            for player, gid, won, delta, voluntary, _, _ in rows:
-                staged.setdefault(player, []).append(
-                    Outcome(won, delta, ts, gid, voluntary))
-        else:
-            for player, gid, won, delta, _ in rows:
-                staged.setdefault(player, []).append(
-                    Outcome(won, delta, ts, gid + "d1"))
-    return {
-        player: PlayerTimeline(player, config.table_size, tuple(outs))
-        for player, outs in sorted(staged.items())
-    }
+    poker, size, n = config.game == POKER, config.table_size, config.n_players
+    with gc_paused():
+        skills, quotas, offsets = _planted(config)
+        seats, cols, keys, stamps = [], [], [], []
+        for ts, seated, games, (won, delta, voluntary, *_) in _seats(
+                config, skills, quotas, offsets):
+            seats.append(seated.ravel().astype(np.int32))
+            cols.append((won, delta, voluntary if poker else won))
+            keys.extend(games if poker else [g + "d1" for g in games])
+            stamps.extend(repeat(ts, len(games)))
+        seat = np.concatenate(seats)
+        order = np.argsort(seat, kind="stable")  # seat k is at table k // size
+        counts = np.bincount(seat, minlength=n)
+        step = max(1, TIMELINE_CHUNK * n // len(seat))  # players per run
+        won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
+        del seats, cols, seat  # freed first, the outcomes reuse their memory
+        ends = np.concatenate(([0], counts.cumsum())).tolist()
+        users, counts = _players(config), counts.tolist()
+        timelines: Dict[str, PlayerTimeline] = {}
+        for first in range(0, n, step):
+            idx = order[ends[first]:ends[min(first + step, n)]]
+            t = (idx // size).tolist()
+            # tuple.__new__ skips NamedTuple's Python-level __new__
+            outs = map(tuple.__new__, repeat(Outcome), zip(
+                won[idx].tolist(), delta[idx].tolist(),
+                map(stamps.__getitem__, t), map(keys.__getitem__, t),
+                voluntary[idx].tolist() if poker else repeat(None)))
+            for user, k in zip(users[first:first + step],
+                               counts[first:first + step]):
+                if k:
+                    timelines[user] = PlayerTimeline(user, size,
+                                                     tuple(islice(outs, k)))
+    return timelines

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -21,6 +22,8 @@ from scipy.optimize import curve_fit
 from .metrics import (
     METRIC_POLARITY,
     METRICS,
+    Segments,
+    column,
     QuantilePoint,
     SkillSeries,
     percentile_position,
@@ -29,7 +32,7 @@ from .metrics import (
     standardize,
     theoretical_quantile,
 )
-from .records import PlayerTimeline
+from .records import Outcome, PlayerTimeline
 
 
 class StatTestError(ValueError):
@@ -69,6 +72,7 @@ WORSENING = "Worsening"
 
 # Index values the persistence bootstrap draws at once (at least one row).
 BOOT_BLOCK = 1 << 16
+STAT_BLOCK = 1 << 16  # outcomes persistence and learning read at once
 
 SKILL_DOMINANT = "SkillDominant"
 CHANCE_DOMINANT = "ChanceDominant"
@@ -219,6 +223,20 @@ def _month_bounds_ms(ms: int) -> Tuple[int, int]:
     return int(floor.timestamp() * 1000), int(ceil.timestamp() * 1000)
 
 
+def _blocks(timelines: Mapping[str, PlayerTimeline]
+            ) -> Iterator[Tuple[List[str], np.ndarray, List[Outcome]]]:
+    """The timelines in user order, in runs of whole players of about
+    STAT_BLOCK outcomes: (user ids, bounds, flat), player i at bounds[i:i+2]."""
+    users, flat, bounds = [], [], [0]
+    for i, user_id in enumerate(sorted(timelines), 1):
+        users.append(user_id)
+        flat.extend(timelines[user_id].outcomes)
+        bounds.append(len(flat))
+        if len(flat) >= STAT_BLOCK or i == len(timelines):
+            yield users, np.array(bounds), flat
+            users, flat, bounds = [], [], [0]
+
+
 def resolve_split(
     timelines: Mapping[str, PlayerTimeline],
     split: Union[int, str] = "month",
@@ -230,10 +248,11 @@ def resolve_split(
         return split
     if split != "month":
         raise ValueError(f"unknown split rule: {split!r}")
-    stamps = [o.timestamp for tl in timelines.values() for o in tl.outcomes]
-    if not stamps:
+    ends = [f(column(flat, "timestamp")) for _, _, flat in _blocks(timelines)
+            if flat for f in (np.min, np.max)]
+    if not ends:
         raise InsufficientPlayers("no outcomes to split")
-    lo, hi = min(stamps), max(stamps)
+    lo, hi = int(min(ends)), int(max(ends))
     mid = (lo + hi) // 2
     floor, ceil = _month_bounds_ms(mid)
     snapped = floor if mid - floor <= ceil - mid else ceil
@@ -249,33 +268,43 @@ def persistence_test(
     seed: int = 0,
 ) -> PersistenceResult:
     """Correlate a per-player skill variable across the two periods either
-    side of the split, over players with >= min_games in each period.
+    side of the split, over players with >= min_games in each period and
+    the metric defined in both. Timelines need not be in time order.
 
-    The percentile CI comes from n_boot resamples of the players, drawn in
-    blocks of about BOOT_BLOCK values, so its memory is O(BOOT_BLOCK), not
-    O(n_boot x players); the draws and the CI equal one n_boot x players
-    draw from the same seed."""
+    Players are read in runs of about STAT_BLOCK outcomes and the percentile
+    CI comes from n_boot resamples of the players, drawn in blocks of about
+    BOOT_BLOCK values, so memory beyond the result is O(STAT_BLOCK +
+    BOOT_BLOCK), not O(outcomes + n_boot x players); the draws and the CI
+    equal one n_boot x players draw from the same seed."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     metric_fn = METRICS[metric]
     split_ms = resolve_split(timelines, split)
 
     pairs: List[Tuple[str, float, float]] = []
-    spans = []  # per player: first and last stamp in period A, then in B
-    for user_id in sorted(timelines):
-        tl = timelines[user_id]
-        part_a = [o for o in tl.outcomes if o.timestamp < split_ms]
-        part_b = [o for o in tl.outcomes if o.timestamp >= split_ms]
-        if len(part_a) < min_games or len(part_b) < min_games:
-            continue
-        va = metric_fn(part_a)
-        vb = metric_fn(part_b)
-        if va is None or vb is None:
-            continue
-        pairs.append((user_id, va, vb))
-        ta = [o.timestamp for o in part_a]
-        tb = [o.timestamp for o in part_b]
-        spans.append((min(ta), max(ta), min(tb), max(tb)))
+    spans = []  # per block: first and last stamp of its pairs in A, then B
+    for users, bounds, flat in _blocks(timelines):
+        ts = column(flat, "timestamp")
+        in_b = ts >= split_ms
+        player = np.repeat(np.arange(len(users)), np.diff(bounds))
+        # A stable sort on (player, period) keeps each player's outcomes at
+        # bounds[i]:bounds[i + 1], period A before period B, each in
+        # timeline order.
+        order = np.argsort(2 * player + in_b, kind="stable")
+        mid = bounds[1:] - np.bincount(player[in_b], minlength=len(users))
+        q = np.nonzero((mid - bounds[:-1] >= min_games)
+                       & (bounds[1:] - mid >= min_games))[0]
+        values = metric_fn.segments(Segments(
+            flat, np.concatenate((bounds[q], mid[q])),
+            np.concatenate((mid[q], bounds[q + 1])), order))
+        paired = np.zeros(len(users), dtype=bool)
+        for i, a, b in zip(q.tolist(), values, values[len(q):]):
+            if a is not None and b is not None:
+                pairs.append((users[i], a, b))
+                paired[i] = True
+        if paired.any():
+            ta, tb = ts[paired[player] & ~in_b], ts[paired[player] & in_b]
+            spans.append((ta.min(), ta.max(), tb.min(), tb.max()))
 
     if len(pairs) < 3:
         raise InsufficientPlayers(
@@ -300,14 +329,16 @@ def persistence_test(
         with np.errstate(invalid="ignore", divide="ignore"):
             rs[s:s + len(idx)] = (bx * by).sum(axis=1) / denom
     rs = rs[np.isfinite(rs)]
+    if not len(rs):
+        raise ZeroVariance("no bootstrap resample had non-zero variance")
     lo, hi = (float(np.quantile(rs, 0.025)), float(np.quantile(rs, 0.975)))
     lo, hi = min(lo, r), max(hi, r)
 
     return PersistenceResult(
         r=r,
         n_players=n,
-        period_a=(min(s[0] for s in spans), max(s[1] for s in spans)),
-        period_b=(min(s[2] for s in spans), max(s[3] for s in spans)),
+        period_a=(int(min(s[0] for s in spans)), int(max(s[1] for s in spans))),
+        period_b=(int(min(s[2] for s in spans)), int(max(s[3] for s in spans))),
         min_games=min_games,
         bootstrap_ci95=(lo, hi),
         metric=metric,
@@ -383,7 +414,8 @@ def learning_curve_test(
 
     Bin b covers each player's games (b*w, (b+1)*w]; only players with the
     full bin contribute, and bins where the metric is undefined for every
-    player emit no point.
+    player emit no point. Players are read in runs of about STAT_BLOCK
+    outcomes: memory is O(STAT_BLOCK) plus one value per (player, bin).
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
@@ -391,18 +423,18 @@ def learning_curve_test(
         raise InsufficientPlayers("empty cohort")
     metric_fn = METRICS[metric]
     max_bins = max(len(tl.outcomes) for tl in timelines.values()) // bin_width
-    points: List[Tuple[float, float]] = []
-    for b in range(max_bins):
-        vals = []
-        for user_id in sorted(timelines):
-            tl = timelines[user_id]
-            if len(tl.outcomes) < (b + 1) * bin_width:
-                continue
-            v = metric_fn(tl.outcomes[b * bin_width : (b + 1) * bin_width])
+    vals: List[List[float]] = [[] for _ in range(max_bins)]  # in user order
+    for _, bounds, flat in _blocks(timelines):
+        # player i's bin b is the segment of bin_width from bounds[i] + b*w
+        n_bins = np.diff(bounds) // bin_width
+        bins = np.arange(n_bins.sum()) - np.repeat(n_bins.cumsum() - n_bins,
+                                                   n_bins)
+        starts = np.repeat(bounds[:-1], n_bins) + bins * bin_width
+        values = metric_fn.segments(Segments(flat, starts, starts + bin_width))
+        for b, v in zip(bins.tolist(), values):
             if v is not None:
-                vals.append(v)
-        if vals:
-            points.append((b + 1, sum(vals) / len(vals)))
+                vals[b].append(v)
+    points = [(b + 1, sum(v) / len(v)) for b, v in enumerate(vals) if v]
     if not points:
         raise InsufficientPlayers("no complete experience bins")
     binned = SkillSeries(metric, tuple(points), "cohort")

@@ -77,3 +77,82 @@ RUMMY_ROW = {
     "winner_points": "40",
     "loss_points": "0",
 }
+
+
+# The per-window metric bodies as written before the metrics became segment
+# reductions, kept as the oracle the segment form must equal bit for bit.
+
+def _ref_win_rate(outcomes):
+    return sum(1 for o in outcomes if o.won) / len(outcomes)
+
+
+def _ref_bb_per_100(outcomes):
+    return 100.0 * sum(o.value_delta for o in outcomes) / len(outcomes)
+
+
+def _ref_avg_points_lost_losing(outcomes):
+    losses = [-o.value_delta for o in outcomes if not o.won]
+    return sum(losses) / len(losses) if losses else None
+
+
+def _ref_avg_win_magnitude(outcomes):
+    wins = [o.value_delta for o in outcomes if o.value_delta > 0]
+    return sum(wins) / len(wins) if wins else None
+
+
+def _ref_avg_loss_magnitude(outcomes):
+    losses = [-o.value_delta for o in outcomes if o.value_delta < 0]
+    return sum(losses) / len(losses) if losses else None
+
+
+def _ref_tightness(outcomes):
+    flags = [o.voluntary_entry for o in outcomes]
+    if any(f is None for f in flags):
+        return None
+    return 1.0 - sum(1 for f in flags if f) / len(flags)
+
+
+def _ref_net_positive(outcomes):
+    return 1.0 if sum(o.value_delta for o in outcomes) > 0 else 0.0
+
+
+# By METRICS name; "avg_win_magnitude" is the won side of avg_blind_amount.
+REFERENCE_METRICS = {
+    "win_rate": _ref_win_rate,
+    "bb_per_100": _ref_bb_per_100,
+    "avg_points_lost_losing": _ref_avg_points_lost_losing,
+    "avg_blind_lost": _ref_avg_loss_magnitude,
+    "tightness": _ref_tightness,
+    "net_positive_share": _ref_net_positive,
+    "avg_win_magnitude": _ref_avg_win_magnitude,
+}
+
+
+def outcome_of(fn, *args):
+    """repr of fn(*args), or the type of the exception it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc)
+
+
+def outcome_runs(stamps=None, max_size=12, min_size=0):
+    """Hypothesis strategy: lists of outcomes with any won flag, deltas that
+    include -0.0 and non-integers, stamps in no particular order, and all
+    voluntary_entry flags set (poker), all None (rummy) or mixed."""
+    from hypothesis import strategies as st
+
+    deltas = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, -7.0]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def runs(draw):
+        flags = draw(st.sampled_from([st.booleans(), st.none(),
+                                      st.one_of(st.booleans(), st.none())]))
+        outcome = st.builds(Outcome, won=st.booleans(), value_delta=deltas,
+                            timestamp=st.integers(0, 9) if stamps is None else stamps,
+                            key=st.just("g"), voluntary_entry=flags)
+        return draw(st.lists(outcome, min_size=min_size, max_size=max_size))
+
+    return runs()

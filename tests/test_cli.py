@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cardskill import cli
+from cardskill import cli, simgen
 from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, main
 from cardskill.metrics import METRICS
 
@@ -179,12 +179,18 @@ def test_reports_are_rfc4180_parsable(sim_dir, tmp_path):
 def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
                                         capsys, caller_gc):
     seen, parse_poker_log = [], cli.parse_poker_log
+    planted = simgen._planted
 
     def parse(stream):
         seen.append(gc.isenabled())
         return parse_poker_log(stream)
 
+    def plant(config):
+        seen.append(gc.isenabled())
+        return planted(config)
+
     monkeypatch.setattr(cli, "parse_poker_log", parse)
+    monkeypatch.setattr(simgen, "_planted", plant)
     was_enabled = gc.isenabled()
     (gc.enable if caller_gc else gc.disable)()
     try:
@@ -195,6 +201,13 @@ def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
         bad.write_text("user_id\nu1\n")
         assert run(["ingest", "--game", "poker", str(bad)]) == EXIT_DATA
         assert gc.isenabled() is caller_gc
+        # simulate_timelines pauses the collector the same way
+        simgen.simulate_timelines(simgen.SimConfig(n_players=4,
+                                                   games_per_player=3))
+        assert gc.isenabled() is caller_gc
+        with pytest.raises(simgen.ConfigInvalid):
+            simgen.simulate_timelines(simgen.SimConfig(table_size=4))
+        assert gc.isenabled() is caller_gc
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen == [False, False]
+    assert seen == [False] * 4

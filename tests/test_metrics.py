@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import rankdata
 
+from cardskill import metrics
 from cardskill.metrics import (
     LOST,
     METRICS,
@@ -15,6 +17,8 @@ from cardskill.metrics import (
     NoLosingDeals,
     NotPoker,
     OutOfRange,
+    Segments,
+    SkillSeries,
     ZeroSd,
     avg_blind_amount,
     bb_per_100,
@@ -28,7 +32,8 @@ from cardskill.metrics import (
 )
 from cardskill.records import PlayerTimeline
 
-from helpers import poker_timeline, rummy_timeline, wins_timeline
+from helpers import (REFERENCE_METRICS, outcome_of, outcome_runs,
+                     poker_timeline, rummy_timeline, wins_timeline)
 
 
 class TestWinProbabilitySeries:
@@ -254,3 +259,53 @@ class TestStandardize:
     def test_zero_sd(self):
         with pytest.raises(ZeroSd):
             standardize(1.0, 1.0, 0.0)
+
+
+class TestSegmentReductions:
+    """Each metric's segment reduction against the per-window body it
+    replaced (helpers.REFERENCE_METRICS): equal reprs, errors included."""
+
+    @staticmethod
+    def _metric(name):
+        return METRICS.get(name) or getattr(metrics, f"_{name}")
+
+    @settings(max_examples=300)
+    @given(outcomes=outcome_runs(),
+           name=st.sampled_from(sorted(REFERENCE_METRICS)))
+    def test_one_window(self, outcomes, name):
+        assert outcome_of(self._metric(name), outcomes) == \
+            outcome_of(REFERENCE_METRICS[name], outcomes)
+
+    def test_empty_window_raises_as_before(self):
+        for name, ref in REFERENCE_METRICS.items():
+            assert outcome_of(self._metric(name), []) == outcome_of(ref, [])
+
+    @settings(max_examples=300)
+    @given(run=outcome_runs(max_size=25), data=st.data(),
+           name=st.sampled_from(sorted(REFERENCE_METRICS)))
+    def test_segments_of_a_reordered_run(self, run, data, name):
+        order = data.draw(st.permutations(range(len(run))))
+        bounds = st.tuples(st.integers(0, len(run)), st.integers(0, len(run)))
+        segments = [(a, b) for a, b in data.draw(st.lists(bounds, max_size=8))
+                    if a < b]
+        starts = np.array([a for a, _ in segments], dtype=int)
+        stops = np.array([b for _, b in segments], dtype=int)
+        got = self._metric(name).segments(
+            Segments(run, starts, stops, np.array(order, dtype=int)))
+        ordered = [run[i] for i in order]
+        assert repr(got) == repr([REFERENCE_METRICS[name](ordered[a:b])
+                                  for a, b in segments])
+
+    @given(outcomes=outcome_runs(max_size=30))
+    def test_win_probability_series(self, outcomes):
+        timeline = PlayerTimeline("u1", 2, tuple(outcomes))
+        wins, points = 0, []
+        for k, o in enumerate(outcomes, start=1):
+            wins += 1 if o.won else 0
+            points.append((k, wins / k))
+        got = outcome_of(win_probability_series, timeline)
+        if outcomes:
+            assert got == repr(SkillSeries("WinProbability", tuple(points),
+                                           "u1"))
+        else:
+            assert got is EmptyTimeline

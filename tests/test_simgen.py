@@ -165,7 +165,15 @@ def test_simulate_bytes_pinned(cfg, digest):
     POKER_6_SKILL,
     SimConfig(game="rummy", table_size=3, n_players=30, games_per_player=12,
               seed=12),
-], ids=["poker", "rummy"])
+    SimConfig(game="poker", table_size=2, n_players=40, games_per_player=30,
+              mode="skill", skill_sd=0.5, min_games_per_player=8,
+              stagger_starts=True, seed=21),
+    SimConfig(game="rummy", table_size=6, n_players=36, games_per_player=20,
+              seed=22),
+    SimConfig(game="poker", table_size=3, n_players=31, games_per_player=15,
+              min_games_per_player=5, seed=23),
+], ids=["poker", "rummy", "poker-hu-stagger-quotas", "rummy-6",
+        "poker-3-ragged"])
 def test_simulated_timelines_match_csv_path(cfg):
     data, _ = simulate(cfg)
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
@@ -173,11 +181,16 @@ def test_simulated_timelines_match_csv_path(cfg):
     via_csv = build_timelines(recs)[cfg.table_size]
     direct = simulate_timelines(cfg)
     assert via_csv == direct
+    assert list(direct) == sorted(direct)
     # dataclass == lets numpy scalars pass for Python ones; reports do not
+    flag = bool if cfg.game == "poker" else type(None)
     for tl in direct.values():
         for o in tl.outcomes:
             assert type(o.won) is bool
             assert type(o.value_delta) is float
+            assert type(o.timestamp) is int
+            assert type(o.key) is str
+            assert type(o.voluntary_entry) is flag
 
 
 class TestConfigInvalid:

@@ -1,19 +1,24 @@
 import math
 import tracemalloc
+from contextlib import contextmanager
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardskill import stattests
+from cardskill.metrics import METRICS
 from cardskill.records import Outcome, PlayerTimeline
+from cardskill.simgen import SimConfig, simulate_timelines
 from cardskill.stattests import (
     CHANCE_DOMINANT,
     FLAT,
     IMPROVING,
     INCONCLUSIVE,
     SKILL_DOMINANT,
+    CurveFitResult,
     InsufficientPlayers,
     LengthMismatch,
     TooFewPlayers,
@@ -28,7 +33,8 @@ from cardskill.stattests import (
     quantile_summary,
 )
 
-from helpers import HOUR_MS, wins_timeline
+from helpers import (HOUR_MS, REFERENCE_METRICS, outcome_of, outcome_runs,
+                     wins_timeline)
 
 
 class TestPearson:
@@ -463,3 +469,210 @@ class TestClassify:
                      thresholds={"r_min": 0.45})
         assert v.thresholds_used["r_min"] == 0.45
         assert "threshold_r2" in v.thresholds_used
+
+
+# The per-player loops persistence_test and learning_curve_test ran before
+# they read the cohort as segments, kept as the oracle for the segment form.
+
+def _reference_split(timelines, split_ms, metric, min_games):
+    """(pairs, period_a, period_b) from the old per-player split loop."""
+    metric_fn = REFERENCE_METRICS[metric]
+    pairs, spans = [], []
+    for user_id in sorted(timelines):
+        tl = timelines[user_id]
+        part_a = [o for o in tl.outcomes if o.timestamp < split_ms]
+        part_b = [o for o in tl.outcomes if o.timestamp >= split_ms]
+        if len(part_a) < min_games or len(part_b) < min_games:
+            continue
+        va = metric_fn(part_a)
+        vb = metric_fn(part_b)
+        if va is None or vb is None:
+            continue
+        pairs.append((user_id, va, vb))
+        ta = [o.timestamp for o in part_a]
+        tb = [o.timestamp for o in part_b]
+        spans.append((min(ta), max(ta), min(tb), max(tb)))
+    if not spans:
+        return pairs, None, None
+    return (pairs, (min(s[0] for s in spans), max(s[1] for s in spans)),
+            (min(s[2] for s in spans), max(s[3] for s in spans)))
+
+
+def _reference_points(timelines, metric, bin_width):
+    """The binned points from the old bin-by-bin, player-by-player loop."""
+    metric_fn = REFERENCE_METRICS[metric]
+    max_bins = max(len(tl.outcomes) for tl in timelines.values()) // bin_width
+    points = []
+    for b in range(max_bins):
+        vals = []
+        for user_id in sorted(timelines):
+            tl = timelines[user_id]
+            if len(tl.outcomes) < (b + 1) * bin_width:
+                continue
+            v = metric_fn(tl.outcomes[b * bin_width : (b + 1) * bin_width])
+            if v is not None:
+                vals.append(v)
+        if vals:
+            points.append((b + 1, sum(vals) / len(vals)))
+    return points
+
+
+SPLIT_MS = 100
+
+
+@st.composite
+def _cohorts(draw, stamps=st.one_of(st.integers(SPLIT_MS - 5, SPLIT_MS + 4),
+                                    st.integers(0, 2 * SPLIT_MS))):
+    """3 to 8 players, some with empty or short timelines, stamps in no
+    order and often equal to SPLIT_MS."""
+    users = draw(st.lists(st.text("abcu", min_size=1, max_size=3),
+                          unique=True, min_size=3, max_size=8))
+    sizes = st.sampled_from([0, 3, 6])
+    return {u: PlayerTimeline(u, 2, tuple(draw(outcome_runs(
+        stamps, 14, draw(sizes))))) for u in users}
+
+
+@contextmanager
+def _stat_block(block):
+    """STAT_BLOCK patched to block, or left alone for None."""
+    if block is None:
+        yield
+    else:
+        with mock.patch.object(stattests, "STAT_BLOCK", block):
+            yield
+
+
+def _constant_fit(xs, ys):
+    return CurveFitResult(0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+class TestSegmentForm:
+    """persistence_test and learning_curve_test against the old loops, on
+    drawn cohorts, with STAT_BLOCK as is or patched to 1 or 5 outcomes so
+    that the cohort spans many blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
+           min_games=st.integers(1, 3), block=st.sampled_from([None, 1, 5]))
+    def test_persistence_pairs_and_spans(self, cohort, metric, min_games,
+                                         block):
+        pairs, period_a, period_b = _reference_split(cohort, SPLIT_MS, metric,
+                                                     min_games)
+
+        def run():
+            with _stat_block(block):
+                return persistence_test(cohort, split=SPLIT_MS, metric=metric,
+                                        min_games=min_games, n_boot=200)
+
+        if len(pairs) < 3:
+            with pytest.raises(InsufficientPlayers):
+                run()
+            return
+        expected = outcome_of(pearson, [p[1] for p in pairs],
+                              [p[2] for p in pairs])
+        if expected is ZeroVariance:
+            with pytest.raises(ZeroVariance):
+                run()
+            return
+        res = run()
+        assert repr(res.pairs) == repr(tuple(pairs))
+        assert res.n_players == len(pairs)
+        assert (res.period_a, res.period_b) == (period_a, period_b)
+        assert all(type(t) is int for t in res.period_a + res.period_b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cohort=_cohorts(st.integers(1669852800000, 1675209600000)),
+           block=st.sampled_from([None, 1, 5]))
+    def test_month_split(self, cohort, block):
+        stamps = [o.timestamp for tl in cohort.values() for o in tl.outcomes]
+        with _stat_block(block):
+            got = outcome_of(stattests.resolve_split, cohort)
+        if not stamps:
+            assert got is InsufficientPlayers
+            return
+        # the rest of the rule reads only the least and greatest stamp
+        lo, hi = min(stamps), max(stamps)
+        bounds = {u: PlayerTimeline(u, 2, tuple(
+            Outcome(True, 0.0, t, "g") for t in (lo, hi))) for u in ("a",)}
+        assert got == repr(stattests.resolve_split(bounds))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
+           bin_width=st.integers(1, 4), block=st.sampled_from([None, 1, 5]))
+    def test_learning_points(self, cohort, metric, bin_width, block):
+        with _stat_block(block), \
+                mock.patch.object(stattests, "fit_power", _constant_fit), \
+                mock.patch.object(stattests, "fit_exponential",
+                                  _constant_fit):
+            got = outcome_of(lambda: learning_curve_test(
+                cohort, metric=metric, bin_width=bin_width).binned.points)
+        points = _reference_points(cohort, metric, bin_width) if cohort \
+            else []
+        if points:
+            assert got == repr(tuple(points))
+        else:
+            assert got is InsufficientPlayers
+
+
+def test_unpaired_players_leave_the_spans():
+    # three paired players in 10..13 and 100..103; around them, one with
+    # too few games per period and one whose metric is undefined (no loss)
+    def player(deltas, stamps):
+        return PlayerTimeline("u", 2, tuple(
+            Outcome(d > 0, d, t, "g") for d, t in zip(deltas, stamps)))
+
+    cohort = {f"p{i}": player([1.0, -i - 1.0] * 4,
+                              [10, 11, 12, 13, 100, 101, 102, 103])
+              for i in range(3)}
+    cohort["short"] = player([-1.0, -1.0], [0, 200])
+    cohort["no-loss"] = player([1.0] * 4, [1, 2, 198, 199])
+    res = persistence_test(cohort, split=SPLIT_MS, min_games=2, n_boot=50,
+                           metric="avg_points_lost_losing")
+    assert [p[0] for p in res.pairs] == ["p0", "p1", "p2"]
+    assert (res.period_a, res.period_b) == ((10, 13), (100, 103))
+
+
+class TestZeroVarianceBootstrap:
+    def test_every_resample_degenerate(self):
+        # n_boot=1, seed 4 draws one of the three players three times
+        timelines, split_ms = _cohort_of(3)
+        with pytest.raises(ZeroVariance, match="no bootstrap resample"):
+            persistence_test(timelines, split=split_ms, min_games=10,
+                             n_boot=1, seed=4)
+
+    def test_exits_as_a_data_error(self):
+        from cardskill import cli
+        assert issubclass(ZeroVariance, stattests.StatTestError)
+        assert next(code for classes, code in cli.EXIT_CODES
+                    if issubclass(ZeroVariance, classes)) == cli.EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def chance_16k():
+    """16000 heads-up chance players with 30-50 games each (640k outcomes)."""
+    return simulate_timelines(SimConfig(
+        game="poker", table_size=2, n_players=16000, games_per_player=50,
+        min_games_per_player=30, mode="chance", seed=7))
+
+
+class TestMemoryGuard:
+    """The tests read the cohort in blocks: their traced peak stays far
+    below the cohort's own size (about 100 MB of outcome objects)."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_persistence_peak(self, chance_16k):
+        assert sum(len(tl) for tl in chance_16k.values()) == 640_000
+        peak = self._peak(lambda: persistence_test(chance_16k, min_games=10))
+        assert peak < 10 * 2**20
+
+    def test_learning_peak(self, chance_16k):
+        peak = self._peak(lambda: learning_curve_test(chance_16k))
+        assert peak < 10 * 2**20
