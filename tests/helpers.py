@@ -1,5 +1,7 @@
 """Shared builders for test timelines and records."""
 
+from hypothesis import strategies as st
+
 from cardskill.records import Outcome, PlayerTimeline
 
 HOUR_MS = 3_600_000
@@ -140,19 +142,19 @@ def outcome_runs(stamps=None, max_size=12, min_size=0):
     """Hypothesis strategy: lists of outcomes with any won flag, deltas that
     include -0.0 and non-integers, stamps in no particular order, and all
     voluntary_entry flags set (poker), all None (rummy) or mixed."""
-    from hypothesis import strategies as st
-
     deltas = st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, -7.0]),
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    if stamps is None:
+        stamps = st.integers(0, 9)
 
     @st.composite
     def runs(draw):
         flags = draw(st.sampled_from([st.booleans(), st.none(),
                                       st.one_of(st.booleans(), st.none())]))
         outcome = st.builds(Outcome, won=st.booleans(), value_delta=deltas,
-                            timestamp=st.integers(0, 9) if stamps is None else stamps,
-                            key=st.just("g"), voluntary_entry=flags)
+                            timestamp=stamps, key=st.just("g"),
+                            voluntary_entry=flags)
         return draw(st.lists(outcome, min_size=min_size, max_size=max_size))
 
     return runs()
