@@ -176,7 +176,7 @@ class SkillSeries:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("series x values must be strictly increasing")
         if any(not math.isfinite(p[1]) for p in self.points):
-            raise ValueError("series y values must be finite")
+            raise MetricError("series y values must be finite")
 
 
 @dataclass(frozen=True)

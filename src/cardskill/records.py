@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 import gc
+import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -47,7 +49,6 @@ class FieldTypeError(RecordError):
 
     def __init__(self, name: str, text: str, expected: str):
         super().__init__(f"field {name}: cannot parse {text!r} as {expected}", name)
-        self.text = text
 
 
 class InvariantViolation(RecordError):
@@ -292,6 +293,8 @@ def check_poker_record(rec: PokerHandRecord) -> PokerHandRecord:
         )
     if rec.game_start > rec.game_end:
         raise InvariantViolation("game_start <= game_end violated")
+    if not math.isfinite(rec.value_delta_bb):
+        raise InvariantViolation("value_delta_bb is not a finite number")
     return rec
 
 
@@ -307,6 +310,8 @@ def check_rummy_record(rec: RummyDealRecord) -> RummyDealRecord:
         raise InvariantViolation("is_winner=0 but winner_points > 0")
     if rec.winner_points < 0 or rec.loss_points < 0:
         raise InvariantViolation("points must be >= 0")
+    if max(rec.winner_points, rec.loss_points) > sys.float_info.max:
+        raise InvariantViolation("points must fit a finite float")
     if rec.buy_in < 0 or rec.win_amt < 0:
         raise InvariantViolation("amounts must be >= 0")
     if rec.actual_players > rec.max_players:

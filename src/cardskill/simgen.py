@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -64,20 +64,17 @@ def _numbers(value) -> bool:
     return isinstance(value, (tuple, list)) and all(map(finite_number, value))
 
 
-# (fields, what their values must be, test), checked before the value rules;
-# a field whose default is None also takes None.
-_FIELD_TYPES = (
-    (("table_size", "n_players", "games_per_player", "min_games_per_player",
-      "seed"), "an integer",
-     lambda v: finite_number(v) and isinstance(v, numbers.Integral)),
-    (("skill_sd", "learning_b", "learning_alpha", "points_mu", "points_sd",
-      "points_skill_coeff", "value_per_point", "vpip_start", "vpip_end",
-      "big_blind"), "a finite number", finite_number),
-    (("stagger_starts",), "true or false", lambda v: isinstance(v, bool)),
-    (("points_cap",), "a pair of numbers",
-     lambda v: _numbers(v) and len(v) == 2),
-    (("skill_overrides",), "a list of numbers", _numbers),
-)
+# What a field's value must be, and its test, by the field's annotation,
+# checked before the value rules; an Optional field also takes None.
+_KIND_TESTS = {
+    int: ("an integer",
+          lambda v: finite_number(v) and isinstance(v, numbers.Integral)),
+    float: ("a finite number", finite_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    Tuple[int, int]: ("a pair of numbers",
+                      lambda v: _numbers(v) and len(v) == 2),
+    Tuple[float, ...]: ("a list of numbers", _numbers),
+}
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,12 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for names, kind, accepts in _FIELD_TYPES:
-            for name in names:
+        ann = get_type_hints(SimConfig)
+        for kind, (what, accepts) in _KIND_TESTS.items():
+            for name in [n for n in ann if ann[n] in (kind, Optional[kind])]:
                 value = getattr(self, name)
-                optional = SimConfig.__dataclass_fields__[name].default is None
-                if not (accepts(value) or (optional and value is None)):
-                    raise ConfigInvalid(name, f"must be {kind}, got {value!r}")
+                if not (accepts(value) or (value is None and ann[name] != kind)):
+                    raise ConfigInvalid(name, f"must be {what}, got {value!r}")
         if self.game not in (POKER, RUMMY):
             raise ConfigInvalid("game", f"must be {POKER!r} or {RUMMY!r}")
         if self.table_size not in (2, 3, 6):

@@ -17,7 +17,6 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .metrics import (
     METRIC_POLARITY,
@@ -73,6 +72,9 @@ WORSENING = "Worsening"
 # Index values the persistence bootstrap draws at once (at least one row).
 BOOT_BLOCK = 1 << 16
 STAT_BLOCK = 1 << 16  # outcomes persistence and learning read at once
+ALPHA_BOUNDS = (1e-8, 50.0)  # the curve fits' range of alpha
+FIT_GRID = 128  # alphas a pass; each pass narrows log(hi/lo) 63.5-fold,
+FIT_PASSES = 7  # so from 22 to 5e-12
 
 SKILL_DOMINANT = "SkillDominant"
 CHANCE_DOMINANT = "ChanceDominant"
@@ -204,13 +206,16 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise StatTestError("need at least 3 pairs")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
+    with np.errstate(all="ignore"):  # a non-finite r is raised below
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sx = float(np.sqrt(np.dot(dx, dx)))
+        sy = float(np.sqrt(np.dot(dy, dy)))
+        r = float(np.dot(dx, dy) / (sx * sy))
     if sx == 0.0 or sy == 0.0:
         raise ZeroVariance("an argument has zero variance")
-    r = float(np.dot(dx, dy) / (sx * sy))
+    if not math.isfinite(r):
+        raise StatTestError("the correlation is not finite")
     return max(-1.0, min(1.0, r))
 
 
@@ -360,47 +365,44 @@ def _aic(sse: float, n: int, k: int = 3) -> float:
 
 def fit_power(xs: Sequence[float], ys: Sequence[float]) -> CurveFitResult:
     """Least squares for y = A + B*x^(-alpha), x >= 1."""
-    return _fit(_power_model, xs, ys, log_x=True)
+    return _fit(_power_model, xs, ys)
 
 
 def fit_exponential(xs: Sequence[float], ys: Sequence[float]) -> CurveFitResult:
     """Least squares for y = A + B*exp(-alpha*x)."""
-    return _fit(_exp_model, xs, ys, log_x=False)
+    return _fit(_exp_model, xs, ys)
 
 
-def _fit(model, xs, ys, log_x: bool) -> CurveFitResult:
+def _fit(model, xs, ys) -> CurveFitResult:
+    """Variable projection: for a fixed alpha, (A, B) and the SSE are a
+    two-column least squares, so only alpha is searched: on a log grid over
+    ALPHA_BOUNDS, narrowed to the best point's neighbours on each pass."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if len(x) < 4:
         raise FitDiverged("need at least 4 bins to fit a 3-parameter curve")
-    spread = float(y.max() - y.min())
-    if spread < 1e-12:
+    if float(y.max() - y.min()) < 1e-12:
         # Constant series: both families degenerate to y = A.
         a = float(y.mean())
         sse = float(((y - a) ** 2).sum())
         return CurveFitResult(a, 0.0, 1.0, sse, _aic(sse, len(y)))
 
-    # Asymptote guess slightly beyond the last value, in the trend direction.
-    a0 = float(y[-1] + 0.1 * (y[-1] - y[0]))
-    b0 = float(y[0] - a0)
-    resid = np.abs(y - a0)
-    resid = np.where(resid < 1e-12, 1e-12, resid)
-    t = np.log(x) if log_x else x
-    slope = np.polyfit(t, np.log(resid), 1)[0]
-    alpha0 = float(min(max(-slope, 1e-3), 20.0))
-    try:
-        params, _ = curve_fit(
-            model, x, y, p0=[a0, b0, alpha0],
-            bounds=([-np.inf, -np.inf, 1e-8], [np.inf, np.inf, 50.0]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitDiverged(str(exc)) from exc
-    yhat = model(x, *params)
-    sse = float(((y - yhat) ** 2).sum())
+    lo, hi = ALPHA_BOUNDS
+    with np.errstate(all="ignore"):  # a non-finite SSE is raised below
+        yc = y - y.mean()
+        for _ in range(FIT_PASSES):
+            alphas = np.geomspace(lo, hi, FIT_GRID)
+            f = model(x, 0.0, 1.0, alphas[:, None])
+            fc = f - f.mean(axis=1, keepdims=True)
+            ss = np.maximum((fc * fc).sum(axis=1), np.finfo(float).tiny)
+            bs = (fc * yc).sum(axis=1) / ss  # 0 where the basis is constant
+            i = int(np.argmin(((yc - bs[:, None] * fc) ** 2).sum(axis=1)))
+            lo, hi = alphas[max(i - 1, 0)], alphas[min(i + 1, FIT_GRID - 1)]
+        alpha, b = float(alphas[i]), float(bs[i])
+        a = float(y.mean() - b * f[i].mean())
+        sse = float(((y - model(x, a, b, alpha)) ** 2).sum())
     if not math.isfinite(sse):
         raise FitDiverged("non-finite residual")
-    a, b, alpha = (float(v) for v in params)
     return CurveFitResult(a, b, alpha, sse, _aic(sse, len(y)))
 
 

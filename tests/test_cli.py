@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +25,17 @@ def sim_dir(tmp_path):
     ])
     assert code == EXIT_OK
     return out
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, cardskill.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_version(capsys):

@@ -123,6 +123,49 @@ def test_bad_input_exit_code(tmp_path, log_path, capsys,
     assert paths.get(named, named) in lines[-1]
 
 
+RUMMY_LOG, _ = simulate(SimConfig(game="rummy", table_size=3, n_players=24,
+                                  games_per_player=40, seed=9))
+
+
+def edit_row(data: bytes, **values) -> bytes:
+    """data with the named fields of its first row replaced."""
+    lines = data.split(b"\n")
+    header = lines[0].decode().split(",")
+    fields = lines[1].split(b",")
+    for name, text in values.items():
+        fields[header.index(name)] = text.encode()
+    lines[1] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+# A row whose outcome value is not a finite float is rejected; a metric that
+# overflows on accepted rows is a data error.
+@pytest.mark.parametrize("game,data,rejected,code", [
+    ("poker", edit_row(BASE_LOG, big_blind="0.001", chips_won="1e308"),
+     1, EXIT_OK),
+    ("poker", edit_row(BASE_LOG, big_blind="1", chips_won="1e308"),
+     0, EXIT_DATA),
+    ("rummy", edit_row(RUMMY_LOG, is_winner="1", loss_points="0",
+                       winner_points="9" * 401), 1, EXIT_OK),
+], ids=["poker-delta-overflow", "poker-metric-overflow", "rummy-points"])
+def test_outcome_overflow(tmp_path, capsys, game, data, rejected, code):
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    assert exit_code(["ingest", "--game", game, str(path)]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)[str(path)]
+    assert (stats["rows_read"], stats["rows_rejected"]) == (
+        data.count(b"\n") - 1, rejected)
+    argv = ["analyze", str(path), "--game", game, "--min-games", "10",
+            "--table-size", "2" if game == "poker" else "3",
+            "--metric", "bb_per_100" if game == "poker" else "win_rate",
+            "--out", str(tmp_path / "out")]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (err.startswith("error: ") and err.count("\n") == 1
+            if code else err == "")
+
+
 @pytest.mark.parametrize("pos", [300, 30000],
                          ids=["first-8KiB", "beyond-8KiB"])
 def test_non_utf8_error_names_the_line(tmp_path, capsys, pos):

@@ -13,6 +13,7 @@ from cardskill.metrics import (
     WON,
     DomainError,
     EmptyTimeline,
+    MetricError,
     MissingVoluntaryEntry,
     NoLosingDeals,
     NotPoker,
@@ -34,6 +35,12 @@ from cardskill.records import PlayerTimeline
 
 from helpers import (REFERENCE_METRICS, outcome_of, outcome_runs,
                      poker_timeline, rummy_timeline, wins_timeline)
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_series_rejects_non_finite_y(y):
+    with pytest.raises(MetricError, match="finite"):
+        SkillSeries("bb_per_100", ((1, 0.5), (2, y)), "cohort")
 
 
 class TestWinProbabilitySeries:

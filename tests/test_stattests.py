@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import curve_fit
 
 from cardskill import stattests
 from cardskill.metrics import METRICS
@@ -19,8 +20,10 @@ from cardskill.stattests import (
     INCONCLUSIVE,
     SKILL_DOMINANT,
     CurveFitResult,
+    FitDiverged,
     InsufficientPlayers,
     LengthMismatch,
+    StatTestError,
     TooFewPlayers,
     ZeroVariance,
     classify,
@@ -57,6 +60,14 @@ class TestPearson:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs", [
+        [math.inf, 1, 2, 3],
+        [1e308, 1e308, -1e308, 2],  # finite, but the deviations overflow
+    ])
+    def test_non_finite_correlation_raises(self, xs):
+        with pytest.raises(StatTestError, match="not finite"):
+            pearson(xs, [1, 2, 3, 4])
 
     @given(
         xs=st.lists(st.integers(-1000, 1000).map(float),
@@ -298,6 +309,56 @@ class TestFits:
         assert recomputed == pytest.approx(fit.sse, abs=1e-9)
 
 
+    def test_three_bins_diverge(self):
+        for fit in (fit_power, fit_exponential):
+            with pytest.raises(FitDiverged, match="at least 4 bins"):
+                fit([1.0, 2.0, 3.0], [0.4, 0.5, 0.45])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ys_diverge(self, bad):
+        for fit in (fit_power, fit_exponential):
+            with pytest.raises(FitDiverged, match="non-finite"):
+                fit([1.0, 2.0, 3.0, 4.0, 5.0], [0.4, 0.5, bad, 0.45, 0.5])
+
+    def test_constant_series(self):
+        fit = fit_power(np.arange(1.0, 7.0), [0.25] * 6)
+        assert (fit.a, fit.b, fit.alpha, fit.sse) == (0.25, 0.0, 1.0, 0.0)
+
+
+def _curve_fit_sse(model, xs, ys):
+    """The least SSE scipy's curve_fit reaches from several starts within
+    the same alpha bounds: an independent oracle for the profile search."""
+    best = math.inf
+    for alpha0 in (1e-3, 0.03, 0.3, 1.0, 3.0, 10.0):
+        try:
+            params, _ = curve_fit(
+                model, xs, ys, p0=[ys[-1], ys[0] - ys[-1], alpha0],
+                bounds=([-np.inf, -np.inf, 1e-8], [np.inf, np.inf, 50.0]),
+                maxfev=20000)
+        except RuntimeError:
+            continue
+        best = min(best, float(((ys - model(xs, *params)) ** 2).sum()))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", ["power", "exponential", "flat"])
+@pytest.mark.parametrize("fit,model", [
+    (fit_power, stattests._power_model),
+    (fit_exponential, stattests._exp_model),
+], ids=["power_fit", "exp_fit"])
+def test_fit_no_worse_than_curve_fit(seed, shape, fit, model):
+    rng = np.random.default_rng(seed)
+    xs = np.arange(1.0, rng.integers(4, 16) + 1)
+    ys = {"power": 0.5 - 0.1 * xs ** -0.7,
+          "exponential": 0.5 - 0.1 * np.exp(-0.3 * xs),
+          "flat": np.full(len(xs), 0.5)}[shape]
+    ys = ys + rng.normal(0, rng.choice([0.001, 0.005, 0.02]), len(xs))
+    result = fit(xs, ys)
+    assert result.sse <= _curve_fit_sse(model, xs, ys) * (1 + 1e-9)
+    assert 1e-8 <= result.alpha <= 50.0
+
+
 class TestLearningCurve:
     def _cohort(self, win_prob_per_bin, n_players=200, bin_width=10, seed=0):
         rng = np.random.default_rng(seed)
@@ -343,6 +404,13 @@ class TestLearningCurve:
             timelines, metric="avg_points_lost_losing", bin_width=10
         )
         assert res.trend_direction == IMPROVING
+
+    def test_under_four_bins_raises_both_families(self):
+        with pytest.raises(FitDiverged) as exc:
+            learning_curve_test(self._cohort([0.5, 0.4, 0.6]), bin_width=10)
+        assert str(exc.value) == (
+            "power: need at least 4 bins to fit a 3-parameter curve; "
+            "exponential: need at least 4 bins to fit a 3-parameter curve")
 
     def test_preferred_consistent_with_aic(self):
         probs = [0.3 + 0.2 * (1 - (b + 1) ** -0.8) for b in range(8)]
