@@ -227,7 +227,6 @@ def cmd_analyze(args) -> int:
 
     report = classify(persistence, learning, normality,
                       thresholds=thresholds, quantiles=quantiles)
-    stamps = [o.timestamp for tl in cohort.values() for o in tl.outcomes]
     manifest = build_manifest(
         command_line=["cardskill"] + sys.argv[1:],
         config={
@@ -239,7 +238,8 @@ def cmd_analyze(args) -> int:
             "rows_rejected": sum(s.rows_rejected for s in stats_list),
         },
         input_paths=args.paths, seed=args.seed,
-        data_start=min(stamps), data_end=max(stamps),
+        data_start=min(tl.outcomes[0].timestamp for tl in cohort.values()),
+        data_end=max(tl.outcomes[-1].timestamp for tl in cohort.values()),
     )
     paths = write_reports(args.out, report, manifest)
     print(json.dumps({"verdict": report.verdict, "outputs": paths}, indent=2))

@@ -10,6 +10,9 @@ in one list, so memory grows with the log. Rows failing validation are
 counted and sampled (first 20 structured errors with line numbers), never
 fatal. Only a bad header, text that is not UTF-8 or a field longer than
 csv.field_size_limit() (csv.Error) aborts a parse.
+
+build_timelines groups the records per player, sorts each group by its
+type's order key (records.TIMELINE) and maps the group to outcomes at once.
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ from .records import (
     Record,
     RecordError,
     RummyDealRecord,
+    TIMELINE,
     check_poker_record,
     check_rummy_record,
     parse_timestamp,
-    poker_outcome,
-    rummy_outcome,
     validate_poker_record,
     validate_rummy_record,
 )
@@ -223,45 +225,32 @@ def parse_rummy_log(stream) -> Tuple[List[RummyDealRecord], IngestStats]:
                       validate_rummy_record)
 
 
-def _bucket(max_players: int) -> Union[int, str]:
-    return max_players if max_players in TABLE_SIZE_BUCKETS else OTHER_BUCKET
-
-
 TimelineMap = Dict[Union[int, str], Dict[str, PlayerTimeline]]
 
 
 def build_timelines(records: Iterable[Record]) -> TimelineMap:
-    """Group validated records into per-player, per-table-size timelines.
-
-    Ordering within a timeline is (game_start, game_id, deal_number);
-    construction is permutation-invariant in the input order. Table sizes
-    outside {2, 3, 6} land in the "other" bucket rather than being dropped.
-    """
-    staged: Dict[Union[int, str], Dict[str, list]] = {}
+    """Group validated records into per-player, per-table-size timelines,
+    each sorted stably by its record type's order key in TIMELINE: records
+    with equal keys keep their input order. Table sizes outside {2, 3, 6}
+    land in the "other" bucket. A record of another type, or a player with
+    both poker and rummy records in one bucket, raises TypeError."""
+    staged: Dict[tuple, list] = {}
     for rec in records:
-        if isinstance(rec, PokerHandRecord):
-            outcome = poker_outcome(rec)
-            sort_key = (rec.game_start, rec.game_id, 0)
-        elif isinstance(rec, RummyDealRecord):
-            outcome = rummy_outcome(rec)
-            sort_key = (rec.game_start, rec.game_id, rec.deal_number)
-        else:
+        if type(rec) not in TIMELINE:
             raise TypeError(f"unsupported record type: {type(rec).__name__}")
-        bucket = _bucket(rec.max_players)
-        staged.setdefault(bucket, {}).setdefault(rec.user_id, []).append(
-            (sort_key, outcome)
-        )
-
+        size = rec.max_players
+        bucket = size if size in TABLE_SIZE_BUCKETS else OTHER_BUCKET
+        staged.setdefault((type(rec), bucket, rec.user_id), []).append(rec)
     result: TimelineMap = {}
-    for bucket, players in staged.items():
-        result[bucket] = {}
-        for user_id, keyed in players.items():
-            keyed.sort(key=lambda kv: kv[0])
-            result[bucket][user_id] = PlayerTimeline(
-                user_id=user_id,
-                table_size=bucket,
-                outcomes=tuple(o for _, o in keyed),
-            )
+    for (kind, bucket, user_id), recs in staged.items():
+        players = result.setdefault(bucket, {})
+        if user_id in players:
+            raise TypeError(f"{kind.__name__} records mixed with another type "
+                            f"for player {user_id!r} at table size {bucket!r}")
+        order, outcome = TIMELINE[kind]
+        recs.sort(key=order)
+        players[user_id] = PlayerTimeline(user_id, bucket,
+                                          tuple(map(outcome, recs)))
     return result
 
 

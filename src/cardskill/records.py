@@ -345,3 +345,10 @@ def rummy_outcome(rec: RummyDealRecord) -> Outcome:
 
 
 Record = Union[PokerHandRecord, RummyDealRecord]
+
+# Each record type's timeline order key and outcome: the one place for both.
+TIMELINE = {
+    PokerHandRecord: (attrgetter("game_start", "game_id"), poker_outcome),
+    RummyDealRecord: (attrgetter("game_start", "game_id", "deal_number"),
+                      rummy_outcome),
+}

@@ -318,6 +318,9 @@ def persistence_test(
         )
     xs = np.array([p[1] for p in pairs])
     ys = np.array([p[2] for p in pairs])
+    for i in np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))[:1]:
+        raise StatTestError(f"{metric} of player {pairs[i][0]!r} in period "
+                            f"{'AB'[int(np.isfinite(xs[i]))]} is not finite")
     r = pearson(xs, ys)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
@@ -439,10 +442,11 @@ def learning_curve_test(
     points = [(b + 1, sum(v) / len(v)) for b, v in enumerate(vals) if v]
     if not points:
         raise InsufficientPlayers("no complete experience bins")
+    for b, _ in [p for p in points if not math.isfinite(p[1])][:1]:
+        raise StatTestError(f"the mean {metric} of bin {b} is not finite")
     binned = SkillSeries(metric, tuple(points), "cohort")
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs, ys = zip(*points)
     fit_errors: List[str] = []
     power = expo = None
     try:

@@ -308,3 +308,34 @@ def test_main_exits_with_a_documented_code(case):
                 f.write(data)
         code = exit_code([names.get(arg, arg) for arg in argv])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_COHORT)
+
+
+# 24 heads-up players x 60 hands; bb_per_100 overflows to inf on a player
+# whose hands include one with big_blind=1 and chips_won=1e308.
+HU_LOG, _ = simulate(SimConfig(n_players=24, games_per_player=60, seed=5))
+
+
+def test_non_finite_persistence_value_names_player(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_bytes(edit_row(HU_LOG, big_blind="1", chips_won="1e308"))
+    user = HU_LOG.split(b"\n")[1].split(b",")[0].decode()
+    argv = _analyze(str(path), str(tmp_path / "out"), "--metric", "bb_per_100")
+    assert exit_code(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: bb_per_100 of player {user!r} in period A is not finite\n")
+
+
+def test_non_finite_bin_mean_names_bin(tmp_path, capsys):
+    # A new player with 10 hands at the log's first time: in bin 1 of the
+    # learning curve, but in period A only, so in no persistence pair.
+    header, first = HU_LOG.split(b"\n")[:2]
+    hands = [b",".join([b"zz", b"zz%d" % i] + first.split(b",")[2:])
+             for i in range(10)]
+    extra = edit_row(b"\n".join([header] + hands),
+                     big_blind="1", chips_won="1e308")
+    path = tmp_path / "log.csv"
+    path.write_bytes(HU_LOG + extra.split(b"\n", 1)[1] + b"\n")
+    argv = _analyze(str(path), str(tmp_path / "out"), "--metric", "bb_per_100")
+    assert exit_code(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: the mean bb_per_100 of bin 1 is not finite\n")

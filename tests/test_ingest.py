@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -18,10 +19,16 @@ from cardskill.ingest import (
 from cardskill.records import (
     POKER_COLUMNS,
     RUMMY_COLUMNS,
+    Outcome,
+    PlayerTimeline,
+    PokerHandRecord,
     RecordError,
+    poker_outcome,
+    rummy_outcome,
     validate_poker_record,
     validate_rummy_record,
 )
+from cardskill.simgen import SimConfig, simulate
 
 from helpers import POKER_ROW, RUMMY_ROW
 
@@ -152,6 +159,96 @@ class TestBuildTimelines:
         tls = build_timelines(recs)
         total = sum(len(tl.outcomes) for b in tls.values() for tl in b.values())
         assert total == stats.rows_accepted
+
+
+    def test_equal_keys_keep_input_order(self):
+        # A duplicated hand with other chips: the stable sort keeps input
+        # order, so such ties are the one case where order matters.
+        rows = [{**POKER_ROW, "chips_won": "30"}, POKER_ROW]
+        recs, _ = parse_poker_log(poker_csv(rows))
+        for order in (recs, recs[::-1]):
+            deltas = [o.value_delta
+                      for o in build_timelines(order)[6]["u1"].outcomes]
+            assert deltas == [poker_outcome(r).value_delta for r in order]
+
+    def test_rummy_deal_number_tiebreak(self):
+        rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n)}
+                for n in (3, 1, 2)]
+        recs, _ = parse_rummy_log(rummy_csv(rows))
+        tls = build_timelines(recs)
+        assert [o.key for o in tls[6]["u1"].outcomes] == ["d1", "d2", "d3"]
+
+    @pytest.mark.parametrize("record", [
+        Outcome(True, 1.0, 0, "g1"), {"user_id": "u1", "max_players": 6}],
+        ids=["outcome", "dict"])
+    def test_unsupported_record_raises(self, record):
+        recs, _ = parse_poker_log(poker_csv([POKER_ROW]))
+        with pytest.raises(TypeError, match=type(record).__name__):
+            build_timelines(recs + [record])
+
+    def test_player_with_poker_and_rummy_records_raises(self):
+        poker, _ = parse_poker_log(poker_csv([POKER_ROW]))
+        rummy, _ = parse_rummy_log(rummy_csv([RUMMY_ROW]))
+        with pytest.raises(TypeError, match="RummyDealRecord.*'u1'.*6"):
+            build_timelines(poker + rummy)
+        # the same user_id at another table size is another timeline
+        three = [rummy[0]._replace(max_players=3, actual_players=3)]
+        tls = build_timelines(poker + three)
+        assert len(tls[6]["u1"]) == len(tls[3]["u1"]) == 1
+
+
+def _reference_timelines(records):
+    """The (sort key, outcome) staging that build_timelines replaced."""
+    staged = {}
+    for rec in records:
+        if isinstance(rec, PokerHandRecord):
+            key, outcome = (rec.game_start, rec.game_id, 0), poker_outcome(rec)
+        else:
+            key = (rec.game_start, rec.game_id, rec.deal_number)
+            outcome = rummy_outcome(rec)
+        bucket = rec.max_players if rec.max_players in (2, 3, 6) else "other"
+        staged.setdefault(bucket, {}).setdefault(rec.user_id, []).append(
+            (key, outcome))
+    return {bucket: {user_id: PlayerTimeline(user_id, bucket, tuple(
+        o for _, o in sorted(keyed, key=lambda kv: kv[0])))
+        for user_id, keyed in players.items()}
+        for bucket, players in staged.items()}
+
+
+def _simulated(game, table_size, n_players=200, seed=1):
+    data, _ = simulate(SimConfig(game=game, table_size=table_size,
+                                 n_players=n_players, games_per_player=100,
+                                 stagger_starts=True, seed=seed))
+    return (parse_poker_log if game == "poker" else parse_rummy_log)(data)[0]
+
+
+@pytest.mark.parametrize("game,table_size", [("poker", 6), ("rummy", 3)])
+def test_build_matches_reference_staging(game, table_size):
+    """Shuffled simulated records with odd table sizes and duplicated keys
+    give the reference's timelines: equal values, types and order."""
+    recs = _simulated(game, table_size, n_players=30, seed=4)
+    rng = random.Random(7)
+    recs += [r._replace(max_players=9) for r in rng.sample(recs, 40)]
+    recs += [r._replace(game_end=r.game_end + 1, user_id="dup")
+             for r in rng.sample(recs, 40) for _ in range(2)]
+    rng.shuffle(recs)
+    assert repr(build_timelines(recs)) == repr(_reference_timelines(recs))
+
+
+@pytest.mark.parametrize("game,table_size", [("poker", 2), ("rummy", 3)])
+def test_build_peak_memory_is_its_result(game, table_size):
+    """The build stages no per-row objects beyond the outcomes it returns:
+    its tracemalloc peak stays within 1.3x of what the result keeps."""
+    recs = _simulated(game, table_size)
+    assert len(recs) >= 19_800
+    tracemalloc.start()
+    try:
+        timelines = build_timelines(recs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, timelines[table_size].values())) == len(recs)
+    assert peak <= 1.3 * kept
 
 
 class TestFilterMinGames:
