@@ -160,7 +160,6 @@ class TestBuildTimelines:
         total = sum(len(tl.outcomes) for b in tls.values() for tl in b.values())
         assert total == stats.rows_accepted
 
-
     def test_equal_keys_keep_input_order(self):
         # A duplicated hand with other chips: the stable sort keeps input
         # order, so such ties are the one case where order matters.
@@ -224,13 +223,14 @@ def _simulated(game, table_size, n_players=200, seed=1):
 
 @pytest.mark.parametrize("game,table_size", [("poker", 6), ("rummy", 3)])
 def test_build_matches_reference_staging(game, table_size):
-    """Shuffled simulated records with odd table sizes and duplicated keys
+    """Shuffled simulated records with odd table sizes and tied order keys
     give the reference's timelines: equal values, types and order."""
     recs = _simulated(game, table_size, n_players=30, seed=4)
     rng = random.Random(7)
     recs += [r._replace(max_players=9) for r in rng.sample(recs, 40)]
-    recs += [r._replace(game_end=r.game_end + 1, user_id="dup")
-             for r in rng.sample(recs, 40) for _ in range(2)]
+    # every seat of one game as one player: each hand or deal is a tie
+    game_id = rng.choice(recs).game_id
+    recs += [r._replace(user_id="tied") for r in recs if r.game_id == game_id]
     rng.shuffle(recs)
     assert repr(build_timelines(recs)) == repr(_reference_timelines(recs))
 
