@@ -224,3 +224,55 @@ def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False] * 4
+
+
+def simulated_config(tmp_path, *argv):
+    out = tmp_path / "sim"
+    assert run(["simulate", *argv, "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "ground_truth.json").read_text())["config"]
+
+
+SMALL = ["--players", "6", "--games", "4"]
+
+
+FLAG_FIELDS = [
+    (["--game", "rummy"], {"game": "rummy"}),
+    (["--table-size", "3"], {"table_size": 3}),
+    (["--players", "7"], {"n_players": 7}),
+    (["--games", "5"], {"games_per_player": 5}),
+    (["--mode", "skill"], {"mode": "skill"}),
+    (["--mode", "skill", "--skill-sd", "0.5"],
+     {"mode": "skill", "skill_sd": 0.5}),
+    (["--learning-curve", "exponential"], {"learning_curve": "exponential"}),
+    (["--mode", "skill", "--learning-b", "0.4"],
+     {"mode": "skill", "learning_b": 0.4}),
+    (["--learning-alpha", "2"], {"learning_alpha": 2.0}),
+    (["--min-games-per-player", "2"], {"min_games_per_player": 2}),
+    (["--stagger-starts"], {"stagger_starts": True}),
+    (["--seed", "3"], {"seed": 3}),
+]
+
+
+@pytest.mark.parametrize("flags,fields", FLAG_FIELDS,
+                         ids=["-".join(flags) for flags, _ in FLAG_FIELDS])
+def test_simulate_flag_sets_its_field(tmp_path, flags, fields):
+    expected = simgen.SimConfig(n_players=6, games_per_player=4).as_dict()
+    expected.update(fields)
+    config = simulated_config(tmp_path, *SMALL, *flags)
+    assert config == expected
+    assert [type(config[k]) for k in fields] == \
+        [type(v) for v in fields.values()]
+
+
+def test_simulate_without_flags_uses_simconfig_defaults(tmp_path):
+    assert simulated_config(tmp_path) == simgen.SimConfig().as_dict()
+
+
+def test_simulate_config_file_wins_over_flags(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_players": 8, "games_per_player": 3,
+                                "points_cap": [3, 70]}))
+    config = simulated_config(tmp_path, "--config", str(path), "--seed", "5",
+                              "--players", "20", "--stagger-starts")
+    assert config == simgen.SimConfig(n_players=8, games_per_player=3,
+                                      points_cap=(3, 70)).as_dict()

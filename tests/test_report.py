@@ -1,12 +1,18 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
-from cardskill import report
+from cardskill import __version__, report
 from cardskill.metrics import SkillSeries
-from cardskill.report import atomic_write, build_manifest, write_reports
+from cardskill.report import (
+    atomic_write,
+    build_manifest,
+    render_verdict_json,
+    write_reports,
+)
 from cardskill.simgen import SimConfig, simulate_timelines
 from cardskill.stattests import (
     classify,
@@ -38,6 +44,46 @@ def verdict():
 @pytest.fixture(scope="module")
 def manifest():
     return build_manifest(["cardskill"], {}, [], 0, 0, 1)
+
+
+def test_verdict_json_bytes(verdict):
+    manifest = build_manifest(
+        command_line=["cardskill", "analyze"],
+        config={"min_games": 10, "game": "poker", "split_date": None},
+        input_paths=(), seed=7, data_start=1_669_852_800_000,
+        data_end=1_675_209_599_999)
+    data = render_verdict_json(verdict, manifest)
+    manifest_text = (
+        '  "manifest": {\n'
+        '    "command_line": [\n'
+        '      "cardskill",\n'
+        '      "analyze"\n'
+        '    ],\n'
+        '    "config": {\n'
+        '      "game": "poker",\n'
+        '      "min_games": 10,\n'
+        '      "split_date": null\n'
+        '    },\n'
+        '    "data_end": "2023-01-31T23:59:59.999Z",\n'
+        '    "data_start": "2022-12-01T00:00:00.000Z",\n'
+        '    "input_digests": {},\n'
+        '    "seed": 7,\n'
+        f'    "tool_version": "{__version__}"\n'
+        '  },\n')
+    assert manifest_text.encode() in data
+    doc = {"schema_version": 1, **verdict.as_dict(),
+           "manifest": json.loads(data)["manifest"]}
+    assert data == (json.dumps(doc, sort_keys=True, indent=2)
+                    + "\n").encode()
+
+
+def test_manifest_without_data_range(verdict):
+    manifest = build_manifest(command_line=["cardskill"], config={},
+                              input_paths=(), seed=0, data_start=None,
+                              data_end=None)
+    doc = json.loads(render_verdict_json(verdict, manifest))
+    assert doc["manifest"]["data_start"] is None
+    assert doc["manifest"]["data_end"] is None
 
 
 def test_numpy_scalars_written_as_plain_numbers(verdict, manifest, tmp_path):
