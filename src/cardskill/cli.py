@@ -1,14 +1,19 @@
 """Command-line front end: ingest, analyze, simulate, version.
 
+Each of simulate's setting flags stores into its SimConfig field by dest and
+declares no default or allowed values. The flags given, or else a --config
+file, make one dict of fields; SimConfig's defaults fill the rest and its
+validate() judges every value.
+
 Commands return 0 or raise. main() alone maps a raised error to an exit
 code through EXIT_CODES and prints one "error: ..." line to stderr:
 2, usage: a bad flag (argparse), --split-date not YYYY-MM, or an invalid
-simulator config value; 3, data: a log that is unreadable, not UTF-8,
-badly headed or holds a field over the csv module's size limit, a
-thresholds or config file that is not a JSON object, a bad threshold key or
-value, a failed statistic, or an --out that cannot be written; 4, cohort:
-too few players for a test after filtering. Any other error is a bug and
-keeps its traceback.
+simulator config value, named by its field; 3, data: a log that is
+unreadable, not UTF-8, badly headed or holds a field over the csv module's
+size limit, a thresholds or config file that is not a JSON object, a bad
+threshold key or value, a failed statistic, or an --out that cannot be
+written; 4, cohort: too few players for a test after filtering. Any other
+error is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .ingest import (
+    TABLE_SIZE_BUCKETS,
     HeaderMismatch,
     build_timelines,
     filter_min_games,
@@ -95,7 +101,8 @@ def _parser() -> argparse.ArgumentParser:
     pa.set_defaults(run=cmd_analyze)
     pa.add_argument("paths", nargs="+")
     pa.add_argument("--game", choices=["poker", "rummy"], required=True)
-    pa.add_argument("--table-size", type=int, choices=[2, 3, 6], default=6)
+    pa.add_argument("--table-size", type=int, choices=TABLE_SIZE_BUCKETS,
+                    default=6)
     pa.add_argument("--min-games", type=_int_at_least(1), default=30)
     pa.add_argument("--max-games", type=_int_at_least(1), default=100)
     pa.add_argument("--bin-width", type=_int_at_least(1), default=10)
@@ -110,21 +117,21 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("--thresholds", default=None, metavar="FILE",
                     help="JSON overrides for classification thresholds")
 
-    ps = sub.add_parser("simulate", help="generate a synthetic log")
+    ps = sub.add_parser("simulate", help="generate a synthetic log",
+                        argument_default=argparse.SUPPRESS)
     ps.set_defaults(run=cmd_simulate)
-    ps.add_argument("--game", choices=["poker", "rummy"], default="poker")
-    ps.add_argument("--table-size", type=int, choices=[2, 3, 6], default=2)
-    ps.add_argument("--players", type=int, default=100)
-    ps.add_argument("--games", type=int, default=100)
-    ps.add_argument("--mode", choices=["chance", "skill"], default="chance")
-    ps.add_argument("--skill-sd", type=float, default=0.0)
-    ps.add_argument("--learning-curve", choices=["power", "exponential"],
-                    default="power")
-    ps.add_argument("--learning-b", type=float, default=0.0)
-    ps.add_argument("--learning-alpha", type=float, default=0.5)
-    ps.add_argument("--min-games-per-player", type=int, default=None)
+    ps.add_argument("--game")
+    ps.add_argument("--table-size", type=int)
+    ps.add_argument("--players", dest="n_players", type=int)
+    ps.add_argument("--games", dest="games_per_player", type=int)
+    ps.add_argument("--mode")
+    ps.add_argument("--skill-sd", type=float)
+    ps.add_argument("--learning-curve")
+    ps.add_argument("--learning-b", type=float)
+    ps.add_argument("--learning-alpha", type=float)
+    ps.add_argument("--min-games-per-player", type=int)
     ps.add_argument("--stagger-starts", action="store_true")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int)
     ps.add_argument("--out", required=True, metavar="DIR")
     ps.add_argument("--config", default=None, metavar="FILE",
                     help="JSON SimConfig; overrides the individual flags")
@@ -194,12 +201,12 @@ def _load_thresholds(path: Optional[str]) -> Dict[str, float]:
 
 
 def cmd_analyze(args) -> int:
+    thresholds = _load_thresholds(args.thresholds)
     records, stats_list = [], []
     for path in args.paths:
         recs, stats = _parse_file(path, args.game)
         records.extend(recs)
         stats_list.append(stats)
-    thresholds = _load_thresholds(args.thresholds)
 
     buckets = build_timelines(records)
     cohort = buckets.get(args.table_size, {})
@@ -247,23 +254,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.config:
-        raw = _load_json_object(args.config)
-        unknown = sorted(set(raw) - set(SimConfig.__dataclass_fields__))
-        if unknown:
-            raise ConfigInvalid(unknown[0], "not a SimConfig field")
-        config = SimConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in raw.items()})
-    else:
-        config = SimConfig(
-            game=args.game, table_size=args.table_size,
-            n_players=args.players, games_per_player=args.games,
-            mode=args.mode, skill_sd=args.skill_sd,
-            learning_curve=args.learning_curve, learning_b=args.learning_b,
-            learning_alpha=args.learning_alpha,
-            min_games_per_player=args.min_games_per_player,
-            stagger_starts=args.stagger_starts, seed=args.seed,
-        )
+    fields = (_load_json_object(args.config) if args.config else
+              {k: v for k, v in vars(args).items()
+               if k not in ("command", "run", "out", "config")})
+    unknown = sorted(set(fields) - set(SimConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigInvalid(unknown[0], "not a SimConfig field")
+    config = SimConfig(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in fields.items()})
     data, truth = simulate(config)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, f"{config.game}_log.csv")

@@ -323,25 +323,17 @@ def check_rummy_record(rec: RummyDealRecord) -> RummyDealRecord:
     return rec
 
 
+# tuple.__new__ skips NamedTuple's Python-level __new__ and its keywords.
 def poker_outcome(rec: PokerHandRecord) -> Outcome:
     delta = rec.value_delta_bb
-    return Outcome(
-        won=delta > 0,
-        value_delta=delta,
-        timestamp=rec.game_start,
-        key=rec.game_id,
-        voluntary_entry=rec.voluntary_entry,
-    )
+    return tuple.__new__(Outcome, (delta > 0, delta, rec.game_start,
+                                   rec.game_id, rec.voluntary_entry))
 
 
 def rummy_outcome(rec: RummyDealRecord) -> Outcome:
     delta = float(rec.winner_points) if rec.is_winner else -float(rec.loss_points)
-    return Outcome(
-        won=rec.is_winner,
-        value_delta=delta,
-        timestamp=rec.game_start,
-        key=rec.deal_id,
-    )
+    return tuple.__new__(Outcome, (rec.is_winner, delta, rec.game_start,
+                                   rec.deal_id, None))
 
 
 Record = Union[PokerHandRecord, RummyDealRecord]

@@ -3,8 +3,9 @@
 Every file is written through a uniquely named temp file and a rename, so
 no file is ever half written, and verdict.json is written last, so its
 presence means the set beside it is complete. verdict.json is fully
-deterministic for a given input and seed: the embedded manifest timestamps
-are the data's own time range, never the wall clock.
+deterministic for a given input and seed: the embedded manifest, the plain
+dict build_manifest returns, dates the run by the data's own time range,
+never the wall clock.
 """
 
 from __future__ import annotations
@@ -15,38 +16,13 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from . import __version__
 from .records import format_timestamp
 from .stattests import VerdictReport
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command_line: List[str]
-    config: Dict
-    input_digests: Dict[str, str]
-    seed: int
-    tool_version: str
-    data_start: Optional[int]  # ms; first/last outcome in the analyzed data
-    data_end: Optional[int]
-
-    def as_dict(self) -> dict:
-        return {
-            "command_line": list(self.command_line),
-            "config": dict(sorted(self.config.items())),
-            "input_digests": dict(sorted(self.input_digests.items())),
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "data_start": format_timestamp(self.data_start)
-            if self.data_start is not None else None,
-            "data_end": format_timestamp(self.data_end)
-            if self.data_end is not None else None,
-        }
 
 
 def file_digest(path: str) -> str:
@@ -64,16 +40,20 @@ def build_manifest(
     seed: int,
     data_start: Optional[int],
     data_end: Optional[int],
-) -> RunManifest:
-    return RunManifest(
-        command_line=list(command_line),
-        config=config,
-        input_digests={p: file_digest(p) for p in input_paths},
-        seed=seed,
-        tool_version=__version__,
-        data_start=data_start,
-        data_end=data_end,
-    )
+) -> dict:
+    """The run manifest that verdict.json embeds; data_start and data_end
+    are the first and last outcome of the analyzed data, in ms."""
+    def stamp(ms):
+        return format_timestamp(ms) if ms is not None else None
+    return {
+        "command_line": list(command_line),
+        "config": dict(config),
+        "input_digests": {p: file_digest(p) for p in input_paths},
+        "seed": seed,
+        "tool_version": __version__,
+        "data_start": stamp(data_start),
+        "data_end": stamp(data_end),
+    }
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -91,10 +71,10 @@ def atomic_write(path: str, data: bytes) -> None:
             os.remove(tmp)
 
 
-def render_verdict_json(report: VerdictReport, manifest: RunManifest) -> bytes:
+def render_verdict_json(report: VerdictReport, manifest: dict) -> bytes:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "manifest": manifest.as_dict(),
+        "manifest": manifest,
         **report.as_dict(),
     }
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
@@ -114,7 +94,7 @@ def _num(x) -> str:
 
 
 def write_reports(out_dir: str, report: VerdictReport,
-                  manifest: RunManifest) -> Dict[str, str]:
+                  manifest: dict) -> Dict[str, str]:
     """Write verdict.json and the four figure/table CSVs; returns paths.
 
     All five payloads are rendered before any file is touched. A stale

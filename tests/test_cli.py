@@ -276,3 +276,30 @@ def test_simulate_config_file_wins_over_flags(tmp_path):
                               "--players", "20", "--stagger-starts")
     assert config == simgen.SimConfig(n_players=8, games_per_player=3,
                                       points_cap=(3, 70)).as_dict()
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--game", "game"),
+    ("--table-size", "table_size"),
+    ("--mode", "mode"),
+    ("--learning-curve", "learning_curve"),
+])
+def test_simulate_bad_value_names_its_field(tmp_path, capsys, flag, field):
+    value = "4" if flag == "--table-size" else "bogus"
+    code = run(["simulate", flag, value, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_analyze_reads_thresholds_before_any_log(tmp_path, capsys):
+    th = tmp_path / "thresholds.json"
+    th.write_text(json.dumps({"r_min": "high"}))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("user_id\nu1\n")
+    code = run(["analyze", str(bad), "--game", "poker", "--thresholds",
+                str(th), "--out", str(tmp_path / "r")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {th}: r_min: ")
+    assert str(bad) not in err
