@@ -232,9 +232,6 @@ def simulated_config(tmp_path, *argv):
     return json.loads((out / "ground_truth.json").read_text())["config"]
 
 
-SMALL = ["--players", "6", "--games", "4"]
-
-
 FLAG_FIELDS = [
     (["--game", "rummy"], {"game": "rummy"}),
     (["--table-size", "3"], {"table_size": 3}),
@@ -258,7 +255,8 @@ FLAG_FIELDS = [
 def test_simulate_flag_sets_its_field(tmp_path, flags, fields):
     expected = simgen.SimConfig(n_players=6, games_per_player=4).as_dict()
     expected.update(fields)
-    config = simulated_config(tmp_path, *SMALL, *flags)
+    config = simulated_config(tmp_path, "--players", "6", "--games", "4",
+                              *flags)
     assert config == expected
     assert [type(config[k]) for k in fields] == \
         [type(v) for v in fields.values()]
