@@ -18,11 +18,14 @@ config = SimConfig(game="poker", table_size=6, n_players=60,
                    games_per_player=120, mode="skill", skill_sd=0.6,
                    learning_b=0.4, learning_alpha=0.5, seed=4)
 data, truth = simulate(config)
-records, stats = parse_poker_log(data)
+# The parser returns the accepted hands as columns; rows[i] or list(rows)
+# reads them back as PokerHandRecords.
+rows, stats = parse_poker_log(data)
 print(f"parsed {stats.rows_accepted} hands "
-      f"({stats.rows_rejected} rejected)")
+      f"({stats.rows_rejected} rejected); the first: {rows[0].user_id} "
+      f"won {rows[0].chips_won:g} of {rows[0].chips_placed:g} chips placed")
 
-timelines = build_timelines(records)[6]
+timelines = build_timelines(rows)[6]
 best = max(range(config.n_players), key=lambda i: truth.skills[i])
 user = sorted(timelines)[best]
 tl = timelines[user]

@@ -3,17 +3,18 @@
 Each of simulate's setting flags stores into its SimConfig field by dest and
 declares no default or allowed values. The flags given, or else a --config
 file, make one dict of fields; SimConfig's defaults fill the rest and its
-validate() judges every value.
+validate() judges every value. --config with any setting flag is a usage
+error that names the flags.
 
 Commands return 0 or raise. main() alone maps a raised error to an exit
 code through EXIT_CODES and prints one "error: ..." line to stderr:
-2, usage: a bad flag (argparse), --split-date not YYYY-MM, or an invalid
-simulator config value, named by its field; 3, data: a log that is
-unreadable, not UTF-8, badly headed or holds a field over the csv module's
-size limit, a thresholds or config file that is not a JSON object, a bad
-threshold key or value, a failed statistic, or an --out that cannot be
-written; 4, cohort: too few players for a test after filtering. Any other
-error is a bug and keeps its traceback.
+2, usage: a bad flag (argparse), --split-date not YYYY-MM, --config with a
+setting flag, or an invalid simulator config value, named by its field;
+3, data: a log that is unreadable, not UTF-8, badly headed or holds a field
+over the csv module's size limit, a thresholds or config file that is not a
+JSON object, a bad threshold key or value, a failed statistic, or an --out
+that cannot be written; 4, cohort: too few players for a test after
+filtering. Any other error is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -119,22 +120,25 @@ def _parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="generate a synthetic log",
                         argument_default=argparse.SUPPRESS)
-    ps.set_defaults(run=cmd_simulate)
-    ps.add_argument("--game")
-    ps.add_argument("--table-size", type=int)
-    ps.add_argument("--players", dest="n_players", type=int)
-    ps.add_argument("--games", dest="games_per_player", type=int)
-    ps.add_argument("--mode")
-    ps.add_argument("--skill-sd", type=float)
-    ps.add_argument("--learning-curve")
-    ps.add_argument("--learning-b", type=float)
-    ps.add_argument("--learning-alpha", type=float)
-    ps.add_argument("--min-games-per-player", type=int)
-    ps.add_argument("--stagger-starts", action="store_true")
-    ps.add_argument("--seed", type=int)
+    settings = [
+        ps.add_argument("--game"),
+        ps.add_argument("--table-size", type=int),
+        ps.add_argument("--players", dest="n_players", type=int),
+        ps.add_argument("--games", dest="games_per_player", type=int),
+        ps.add_argument("--mode"),
+        ps.add_argument("--skill-sd", type=float),
+        ps.add_argument("--learning-curve"),
+        ps.add_argument("--learning-b", type=float),
+        ps.add_argument("--learning-alpha", type=float),
+        ps.add_argument("--min-games-per-player", type=int),
+        ps.add_argument("--stagger-starts", action="store_true"),
+        ps.add_argument("--seed", type=int),
+    ]
+    ps.set_defaults(run=cmd_simulate, settings={
+        a.dest: a.option_strings[0] for a in settings})
     ps.add_argument("--out", required=True, metavar="DIR")
     ps.add_argument("--config", default=None, metavar="FILE",
-                    help="JSON SimConfig; overrides the individual flags")
+                    help="JSON SimConfig, given instead of the setting flags")
 
     pv = sub.add_parser("version", help="print the tool version")
     pv.set_defaults(run=cmd_version)
@@ -202,13 +206,9 @@ def _load_thresholds(path: Optional[str]) -> Dict[str, float]:
 
 def cmd_analyze(args) -> int:
     thresholds = _load_thresholds(args.thresholds)
-    records, stats_list = [], []
-    for path in args.paths:
-        recs, stats = _parse_file(path, args.game)
-        records.extend(recs)
-        stats_list.append(stats)
-
-    buckets = build_timelines(records)
+    parts, stats_list = zip(*(_parse_file(path, args.game)
+                              for path in args.paths))
+    buckets = build_timelines(*parts)
     cohort = buckets.get(args.table_size, {})
     cohort = filter_min_games(cohort, args.min_games, args.max_games)
     if not cohort:
@@ -254,9 +254,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    fields = (_load_json_object(args.config) if args.config else
-              {k: v for k, v in vars(args).items()
-               if k not in ("command", "run", "out", "config")})
+    fields = {dest: getattr(args, dest) for dest in args.settings
+              if hasattr(args, dest)}
+    if args.config and fields:
+        raise ConfigInvalid("--config", "cannot be given with setting flags ("
+                            + ", ".join(map(args.settings.get, fields)) + ")")
+    if args.config:
+        fields = _load_json_object(args.config)
     unknown = sorted(set(fields) - set(SimConfig.__dataclass_fields__))
     if unknown:
         raise ConfigInvalid(unknown[0], "not a SimConfig field")

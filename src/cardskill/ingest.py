@@ -2,17 +2,19 @@
 
 Parsers read the CSV in chunks of CHUNK_ROWS records and convert each chunk
 a column at a time: one map() per column, a dict lookup for enums and 0/1
-flags, one parse per distinct timestamp text. A row that this column pass or
-the invariant check rejects goes to the row validator (records.validate_*),
-which alone decides it and words its error, so the records, counts and
-messages are those of a row-by-row parse. Every accepted record is returned
-in one list, so memory grows with the log. Rows failing validation are
-counted and sampled (first 20 structured errors with line numbers), never
-fatal. Only a bad header, text that is not UTF-8 or a field longer than
-csv.field_size_limit() (csv.Error) aborts a parse.
+flags, one parse per distinct timestamp text. records.INVARIANTS is then
+tested over the chunk's columns as one mask. A row that the column pass or
+the mask rejects goes to the row validator (records.validate_*), which alone
+decides it and words its error, so the rows, counts and messages are those
+of a row-by-row parse. The accepted rows are returned as columns (Rows),
+with no object per row; memory still grows with the log. Rows failing
+validation are counted and sampled (first 20 structured errors with line
+numbers), never fatal. Only a bad header, text that is not UTF-8 or a field
+longer than csv.field_size_limit() (csv.Error) aborts a parse.
 
-build_timelines groups the records per player, sorts each group by its
-type's order key (records.TIMELINE) and maps the group to outcomes at once.
+build_timelines codes the players, sorts all rows at once by player and
+game_start, orders tied rows by their type's fields in records.TIMELINE and
+builds every outcome from the sorted columns.
 """
 
 from __future__ import annotations
@@ -21,21 +23,26 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from functools import reduce
+from typing import (Callable, Dict, Iterator, List, Optional, Set, Tuple,
+                    Union)
+
+import numpy as np
 
 from .records import (
     FIELDS,
+    INVARIANTS,
+    TIMELINE,
     FieldTypeError,
     Millis,
+    Outcome,
     PlayerTimeline,
     PokerHandRecord,
     Record,
     RecordError,
     RummyDealRecord,
-    TIMELINE,
-    check_poker_record,
-    check_rummy_record,
     parse_timestamp,
     validate_poker_record,
     validate_rummy_record,
@@ -72,6 +79,9 @@ class IngestStats:
     def record_error(self, line: int, error: RecordError) -> None:
         self.rows_rejected += 1
         if len(self.first_error_samples) < ERROR_SAMPLE_LIMIT:
+            # A traceback, its own or its context's, would keep the frames
+            # of the parse alive, and with them every chunk it holds.
+            error.__traceback__ = error.__context__ = None
             self.first_error_samples.append(RowError(line, error))
 
     def as_dict(self) -> dict:
@@ -89,29 +99,29 @@ class IngestStats:
 CHUNK_ROWS = 8192
 
 
-def _mapped(parse) -> Callable:
+def _mapped(parse, dtype=None) -> Callable:
     """A column converter: parse over the column in one map() call or, if
-    some text fails, text by text, with each failing row put in bad."""
-    def convert(texts, bad: Set[int]) -> list:
+    some text fails, text by text, with each failing row put in bad and 0 in
+    its place. With a dtype the column is a numpy array, else a list."""
+    def convert(texts, bad: Set[int]):
         try:
-            return list(map(parse, texts))
+            values = list(map(parse, texts))
         except (ValueError, KeyError):
-            pass
-        values = []
-        for i, text in enumerate(texts):
-            try:
-                values.append(parse(text))
-            except (ValueError, KeyError):
-                values.append(None)
-                bad.add(i)
-        return values
+            values = []
+            for i, text in enumerate(texts):
+                try:
+                    values.append(parse(text))
+                except (ValueError, KeyError):
+                    values.append(0)
+                    bad.add(i)
+        return values if dtype is None else np.array(values, dtype)
     return convert
 
 
-def _texts(texts, bad: Set[int]):
+def _texts(texts, bad: Set[int]) -> list:
     if not all(texts):
         bad.update(i for i, text in enumerate(texts) if not text)
-    return texts
+    return list(texts)
 
 
 def _finite_float(text: str) -> float:
@@ -121,15 +131,16 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _floats(texts, bad: Set[int]) -> list:
-    # _mapped(_finite_float), with one finiteness test per column at best.
+def _floats(texts, bad: Set[int]) -> np.ndarray:
+    # _mapped(_finite_float, float), with one finiteness test per column at
+    # best.
     try:
-        values = list(map(float, texts))
-        if math.isfinite(sum(values)):  # no inf or nan among them
+        values = np.fromiter(map(float, texts), float, len(texts))
+        if np.isfinite(values).all():
             return values
     except ValueError:
         pass
-    return _mapped(_finite_float)(texts, bad)
+    return _mapped(_finite_float, float)(texts, bad)
 
 
 def _timestamps(texts, bad: Set[int]) -> list:
@@ -150,13 +161,85 @@ def _lookup(enum_cls) -> Callable:
 # The column converter of each field kind; an Enum's is _lookup(kind). Each
 # takes exactly the texts that its field's row validator takes unchanged. A
 # text the validator would strip or reject sends its row to the validator.
+# The column types are those Rows holds.
 _CONVERTERS = {str: _texts, float: _floats, int: _mapped(int),
-               bool: _mapped({"1": True, "0": False}.__getitem__),
+               bool: _mapped({"1": True, "0": False}.__getitem__, bool),
                Millis: _timestamps}
 
 
-def _parse_log(stream, record: type, check: Callable,
-               validate: Callable) -> Tuple[list, IngestStats]:
+def _int_array(values: list) -> np.ndarray:
+    """values as int64, or as Python objects if one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def _broken(columns: Record) -> np.ndarray:
+    """The rows of columns that break one of their type's INVARIANTS."""
+    with np.errstate(all="ignore"):  # such a row's inf or nan flags it
+        broken = reduce(operator.or_, (test(columns) for _, _, test
+                                       in INVARIANTS[type(columns)]))
+    return np.asarray(broken, bool)
+
+
+def _kept(column, keep: np.ndarray):
+    if isinstance(column, np.ndarray):
+        return column[keep]
+    return list(itertools.compress(column, keep.tolist()))
+
+
+def _joined(pieces: list):
+    if len(pieces) == 1:
+        return pieces[0]
+    if isinstance(pieces[0], np.ndarray):
+        return np.concatenate(pieces)
+    return list(itertools.chain.from_iterable(pieces))
+
+
+class Rows:
+    """One record type's accepted rows as columns, in log order: columns is
+    a record whose fields are numpy arrays (float and bool fields) or lists
+    (str and Enum fields; int fields, as an int may exceed int64; Millis
+    fields, whose ints the rows of a chunk with one timestamp text share,
+    as do the outcomes built from them).
+
+    len(), iteration and indexing give the records that the row validator
+    gives, with the same field types.
+    """
+
+    __slots__ = ("record", "columns")
+
+    def __init__(self, record: type, columns: Record):
+        self.record, self.columns = record, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[Record]:
+        return map(self.record, *(c.tolist() if isinstance(c, np.ndarray)
+                                  else c for c in self.columns))
+
+    def __getitem__(self, i: int) -> Record:
+        return self.record._make(c[i].item() if isinstance(c, np.ndarray)
+                                 else c[i] for c in self.columns)
+
+
+class _Joined:
+    """The columns of several Rows of one type by field name, each joined
+    on first use, so the fields no one reads are never copied."""
+
+    def __init__(self, parts: Tuple[Rows, ...]):
+        self.parts = parts
+
+    def __getattr__(self, name: str):
+        column = _joined([getattr(p.columns, name) for p in self.parts])
+        setattr(self, name, column)
+        return column
+
+
+def _parse_log(stream, record: type,
+               validate: Callable) -> Tuple[Rows, IngestStats]:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
@@ -169,9 +252,13 @@ def _parse_log(stream, record: type, check: Callable,
     width = max(index.values()) + 1
     converters = [(index[name], _CONVERTERS.get(kind) or _lookup(kind))
                   for name, kind, _, _ in FIELDS[record]]
+    # int and Millis columns are lists; the invariant mask reads them as
+    # arrays.
+    ints = [kind in (int, Millis) for _, kind, _, _ in FIELDS[record]]
 
     stats = IngestStats()
-    out = []
+    # Each column's accepted pieces, from an empty one of its type on.
+    pieces = [[convert((), set())] for _, convert in converters]
     line_no = 2  # of the next csv record: the header is line 1
     while True:
         block = list(itertools.islice(reader, CHUNK_ROWS))
@@ -192,65 +279,120 @@ def _parse_log(stream, record: type, check: Callable,
             row + [""] * (width - len(row)) for row in rows]
         table = list(zip(*full))
         bad: Set[int] = set()
-        fields = [convert(table[j], bad) for j, convert in converters]
-        for i, rec in enumerate(map(record, *fields)):
-            if i not in bad:
-                try:
-                    out.append(check(rec))
-                    continue
-                except RecordError:
-                    pass
-            # The row validator decides every row the column pass did not
-            # accept, and words every error.
+        columns = [convert(table[j], bad) for j, convert in converters]
+        flagged = _broken(record._make(
+            _int_array(c) if is_int else c for c, is_int in zip(columns, ints)))
+        flagged[list(bad)] = True
+        keep = ~flagged
+        # The row validator decides every row the column pass did not
+        # accept, and words every error; a row it accepts keeps its place.
+        for i in np.flatnonzero(flagged).tolist():
             row = rows[i]
             raw = {name: row[j] if j < len(row) else ""
                    for name, j in index.items()}
             try:
-                out.append(validate(raw))
+                rec = validate(raw)
             except RecordError as exc:
                 stats.record_error(lines[i], exc)
+                continue
+            for column, value in zip(columns, rec):
+                column[i] = value
+            keep[i] = True
+        all_kept = keep.all()
+        for piece, column in zip(pieces, columns):
+            piece.append(column if all_kept else _kept(column, keep))
+    out = Rows(record, record._make(map(_joined, pieces)))
     stats.rows_accepted = len(out)
     return out, stats
 
 
-def parse_poker_log(stream) -> Tuple[List[PokerHandRecord], IngestStats]:
+def parse_poker_log(stream) -> Tuple[Rows, IngestStats]:
     """Parse a poker hand-history CSV. stream: bytes or binary file."""
-    return _parse_log(stream, PokerHandRecord, check_poker_record,
-                      validate_poker_record)
+    return _parse_log(stream, PokerHandRecord, validate_poker_record)
 
 
-def parse_rummy_log(stream) -> Tuple[List[RummyDealRecord], IngestStats]:
+def parse_rummy_log(stream) -> Tuple[Rows, IngestStats]:
     """Parse a rummy deal-log CSV. stream: bytes or binary file."""
-    return _parse_log(stream, RummyDealRecord, check_rummy_record,
-                      validate_rummy_record)
+    return _parse_log(stream, RummyDealRecord, validate_rummy_record)
 
 
 TimelineMap = Dict[Union[int, str], Dict[str, PlayerTimeline]]
 
+# Outcomes built from one set of Python lists: the lists' memory is bounded
+# by the block, not by the log.
+OUTCOME_BLOCK = 4096
 
-def build_timelines(records: Iterable[Record]) -> TimelineMap:
-    """Group validated records into per-player, per-table-size timelines,
-    each sorted stably by its record type's order key in TIMELINE: records
-    with equal keys keep their input order. Table sizes outside {2, 3, 6}
-    land in the "other" bucket. A record of another type, or a player with
-    both poker and rummy records in one bucket, raises TypeError."""
-    staged: Dict[tuple, list] = {}
-    for rec in records:
-        if type(rec) not in TIMELINE:
-            raise TypeError(f"unsupported record type: {type(rec).__name__}")
-        size = rec.max_players
-        bucket = size if size in TABLE_SIZE_BUCKETS else OTHER_BUCKET
-        staged.setdefault((type(rec), bucket, rec.user_id), []).append(rec)
+
+def _coded(values: list) -> Tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and the index of
+    each value among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp,
+                                    len(values))
+
+
+def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
+    """The (bucket, user_id) pairs of cols in order of first appearance,
+    the number of rows of each, and the order of the rows: by pair, then by
+    game_start and then by the fields named in ties, stably."""
+    sizes, size = _coded(cols.max_players)
+    buckets, bucket = _coded([s if s in TABLE_SIZE_BUCKETS else OTHER_BUCKET
+                              for s in sizes])
+    users, user = _coded(cols.user_id)
+    pairs, code = _coded((bucket[size] * len(users) + user).tolist())
+
+    start = np.array(cols.game_start, np.int64)
+    order = np.lexsort((start, code))
+    # Sort each run of equal pair and game_start by ties, in Python.
+    code, start = code[order], start[order]
+    same = (code[1:] == code[:-1]) & (start[1:] == start[:-1])
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
+    fields = [getattr(cols, name) for name in ties]
+
+    def key(i: int) -> list:
+        return [f[i] for f in fields]
+
+    for run_first, run_last in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        run = order[run_first:run_last + 1]
+        run[:] = sorted(run.tolist(), key=key)
+    groups = [(buckets[p // len(users)], users[p % len(users)])
+              for p in pairs]
+    return groups, np.bincount(code, minlength=len(groups)).tolist(), order
+
+
+def _outcomes(columns: tuple, order: np.ndarray) -> Iterator[Outcome]:
+    """The Outcomes of columns (won, value_delta, timestamp, key,
+    voluntary_entry) at the rows in order, OUTCOME_BLOCK at a time."""
+    def block(first: int) -> Iterator[Outcome]:
+        rows = order[first:first + OUTCOME_BLOCK]
+        at = rows.tolist()
+        # tuple.__new__ skips NamedTuple's Python-level __new__
+        return map(tuple.__new__, itertools.repeat(Outcome), zip(*(
+            c[rows].tolist() if isinstance(c, np.ndarray)
+            else list(map(c.__getitem__, at)) for c in columns)))
+    return itertools.chain.from_iterable(
+        map(block, range(0, len(order), OUTCOME_BLOCK)))
+
+
+def build_timelines(*parts: Rows) -> TimelineMap:
+    """Group rows into per-player, per-table-size timelines, each sorted
+    stably by game_start and then by its record type's fields in TIMELINE:
+    rows with equal keys keep their order, parts taken in argument order.
+    Buckets and players come in order of first appearance. Table sizes
+    outside {2, 3, 6} land in the "other" bucket. Parts of two record types
+    raise TypeError."""
+    record = parts[0].record
+    if any(p.record is not record for p in parts):
+        raise TypeError("build_timelines takes rows of one record type")
+    cols = _Joined(parts)
+    ties, outcome_columns = TIMELINE[record]
+    groups, counts, order = _grouped(cols, ties)
+    won, delta, key, voluntary = outcome_columns(cols)
+    outcomes = _outcomes((won, delta, cols.game_start, key, voluntary), order)
     result: TimelineMap = {}
-    for (kind, bucket, user_id), recs in staged.items():
-        players = result.setdefault(bucket, {})
-        if user_id in players:
-            raise TypeError(f"{kind.__name__} records mixed with another type "
-                            f"for player {user_id!r} at table size {bucket!r}")
-        order, outcome = TIMELINE[kind]
-        recs.sort(key=order)
-        players[user_id] = PlayerTimeline(user_id, bucket,
-                                          tuple(map(outcome, recs)))
+    for (bucket, user), count in zip(groups, counts):
+        result.setdefault(bucket, {})[user] = PlayerTimeline(
+            user, bucket, tuple(itertools.islice(outcomes, count)))
     return result
 
 

@@ -2,9 +2,9 @@
 
 Raw log rows arrive as text field mappings; the validate_* functions
 coerce and check them, raising a structured error that identifies the
-offending field so callers can report line-accurate diagnostics. The
-check_* functions hold the invariants between fields, for records built
-by validation or by any other path.
+offending field so callers can report line-accurate diagnostics.
+INVARIANTS holds each record type's invariants between fields; check_record
+tests them on one record, and ingest on whole columns at once.
 
 Records and outcomes are typing.NamedTuples: immutable after construction,
 safe to share across threads, and about a fifth of the cost of a frozen
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,6 +26,8 @@ from datetime import datetime, timezone
 from operator import attrgetter
 from typing import (Iterator, Mapping, NamedTuple, NewType, Optional, Union,
                     get_type_hints)
+
+import numpy as np
 
 Millis = NewType("Millis", int)  # epoch milliseconds
 
@@ -56,8 +57,7 @@ class InvariantViolation(RecordError):
 
 
 class WinnerContradiction(InvariantViolation):
-    def __init__(self):
-        super().__init__("is_winner=1 but loss_points > 0")
+    pass
 
 
 class PokerGameType(enum.Enum):
@@ -278,69 +278,86 @@ def _validate(record: type, raw: Mapping[str, str]) -> Record:
 
 
 def validate_poker_record(raw: Mapping[str, str]) -> PokerHandRecord:
-    return check_poker_record(_validate(PokerHandRecord, raw))
-
-
-def check_poker_record(rec: PokerHandRecord) -> PokerHandRecord:
-    """Return rec, or raise InvariantViolation if its fields disagree."""
-    if rec.big_blind <= 0:
-        raise InvariantViolation("big_blind > 0 violated")
-    if rec.chips_placed < 0 or rec.chips_won < 0:
-        raise InvariantViolation("chip amounts must be >= 0")
-    if not (rec.min_players <= rec.num_players <= rec.max_players):
-        raise InvariantViolation(
-            "min_players <= num_players <= max_players violated"
-        )
-    if rec.game_start > rec.game_end:
-        raise InvariantViolation("game_start <= game_end violated")
-    if not math.isfinite(rec.value_delta_bb):
-        raise InvariantViolation("value_delta_bb is not a finite number")
-    return rec
+    return check_record(_validate(PokerHandRecord, raw))
 
 
 def validate_rummy_record(raw: Mapping[str, str]) -> RummyDealRecord:
-    return check_rummy_record(_validate(RummyDealRecord, raw))
+    return check_record(_validate(RummyDealRecord, raw))
 
 
-def check_rummy_record(rec: RummyDealRecord) -> RummyDealRecord:
-    """Return rec, or raise InvariantViolation if its fields disagree."""
-    if rec.is_winner and rec.loss_points > 0:
-        raise WinnerContradiction()
-    if not rec.is_winner and rec.winner_points > 0:
-        raise InvariantViolation("is_winner=0 but winner_points > 0")
-    if rec.winner_points < 0 or rec.loss_points < 0:
-        raise InvariantViolation("points must be >= 0")
-    if max(rec.winner_points, rec.loss_points) > sys.float_info.max:
-        raise InvariantViolation("points must fit a finite float")
-    if rec.buy_in < 0 or rec.win_amt < 0:
-        raise InvariantViolation("amounts must be >= 0")
-    if rec.actual_players > rec.max_players:
-        raise InvariantViolation("actual_players <= max_players violated")
-    if rec.deal_number < 1:
-        raise InvariantViolation("deal_number >= 1 violated")
-    if rec.game_start > rec.game_end or rec.deal_start > rec.deal_end:
-        raise InvariantViolation("start <= end violated")
+def _not_finite(x):
+    return (x != x) | (abs(x) > sys.float_info.max)
+
+
+# Each record type's invariants between fields, in the order check_record
+# tests them: (error type, message, broken). broken uses only |, & and
+# comparisons, so it takes a record, or a record whose fields are column
+# arrays to flag a whole chunk in ingest. x ^ True is "not x" for a bool and
+# a bool array alike, where ~x of a Python bool is an int.
+INVARIANTS = {
+    PokerHandRecord: (
+        (InvariantViolation, "big_blind > 0 violated",
+         lambda r: r.big_blind <= 0),
+        (InvariantViolation, "chip amounts must be >= 0",
+         lambda r: (r.chips_placed < 0) | (r.chips_won < 0)),
+        (InvariantViolation,
+         "min_players <= num_players <= max_players violated",
+         lambda r: (r.min_players > r.num_players)
+         | (r.num_players > r.max_players)),
+        (InvariantViolation, "game_start <= game_end violated",
+         lambda r: r.game_start > r.game_end),
+        (InvariantViolation, "value_delta_bb is not a finite number",
+         lambda r: _not_finite(r.value_delta_bb)),
+    ),
+    RummyDealRecord: (
+        (WinnerContradiction, "is_winner=1 but loss_points > 0",
+         lambda r: r.is_winner & (r.loss_points > 0)),
+        (InvariantViolation, "is_winner=0 but winner_points > 0",
+         lambda r: (r.is_winner ^ True) & (r.winner_points > 0)),
+        (InvariantViolation, "points must be >= 0",
+         lambda r: (r.winner_points < 0) | (r.loss_points < 0)),
+        (InvariantViolation, "points must fit a finite float",
+         lambda r: (r.winner_points > sys.float_info.max)
+         | (r.loss_points > sys.float_info.max)),
+        (InvariantViolation, "amounts must be >= 0",
+         lambda r: (r.buy_in < 0) | (r.win_amt < 0)),
+        (InvariantViolation, "actual_players <= max_players violated",
+         lambda r: r.actual_players > r.max_players),
+        (InvariantViolation, "deal_number >= 1 violated",
+         lambda r: r.deal_number < 1),
+        (InvariantViolation, "start <= end violated",
+         lambda r: (r.game_start > r.game_end) | (r.deal_start > r.deal_end)),
+    ),
+}
+
+
+def check_record(rec: Record) -> Record:
+    """Return rec, or raise the error of the first invariant it breaks."""
+    for error, message, broken in INVARIANTS[type(rec)]:
+        if broken(rec):
+            raise error(message)
     return rec
 
 
-# tuple.__new__ skips NamedTuple's Python-level __new__ and its keywords.
-def poker_outcome(rec: PokerHandRecord) -> Outcome:
-    delta = rec.value_delta_bb
-    return tuple.__new__(Outcome, (delta > 0, delta, rec.game_start,
-                                   rec.game_id, rec.voluntary_entry))
+def _poker_outcomes(r) -> tuple:
+    delta = PokerHandRecord.value_delta_bb.fget(r)  # r need not be a record
+    return delta > 0, delta, r.game_id, r.voluntary_entry
 
 
-def rummy_outcome(rec: RummyDealRecord) -> Outcome:
-    delta = float(rec.winner_points) if rec.is_winner else -float(rec.loss_points)
-    return tuple.__new__(Outcome, (rec.is_winner, delta, rec.game_start,
-                                   rec.deal_id, None))
+def _rummy_outcomes(r) -> tuple:
+    delta = np.where(r.is_winner, np.array(r.winner_points, float),
+                     -np.array(r.loss_points, float))
+    # A column of None that takes no memory.
+    return r.is_winner, delta, r.deal_id, np.broadcast_to(None, len(delta))
 
 
 Record = Union[PokerHandRecord, RummyDealRecord]
 
-# Each record type's timeline order key and outcome: the one place for both.
+# Each record type's timeline: the fields after game_start that order it, and
+# its outcome columns (won, value_delta, key, voluntary_entry), computed from
+# any object whose attributes are the type's fields as columns. Outcome
+# documents the values.
 TIMELINE = {
-    PokerHandRecord: (attrgetter("game_start", "game_id"), poker_outcome),
-    RummyDealRecord: (attrgetter("game_start", "game_id", "deal_number"),
-                      rummy_outcome),
+    PokerHandRecord: (("game_id",), _poker_outcomes),
+    RummyDealRecord: (("game_id", "deal_number"), _rummy_outcomes),
 }

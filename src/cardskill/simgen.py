@@ -341,7 +341,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     """Build player timelines directly from the game loop, bypassing CSV.
 
     Equal to the config's table-size bucket of
-    build_timelines(parse_*_log(simulate(config))), field types included,
+    build_timelines(parse_*_log(simulate(config))[0]), field types included,
     at a fraction of the cost; used for large validation cohorts. The rounds
     fill flat columns, ordered player-major by one stable argsort, and the
     outcomes are built player by player in runs of about TIMELINE_CHUNK, so

@@ -158,3 +158,17 @@ def outcome_runs(stamps=None, max_size=12, min_size=0):
         return draw(st.lists(outcome, min_size=min_size, max_size=max_size))
 
     return runs()
+
+
+# One record's outcome, as the Python expressions of the record-per-row
+# path: ingest.build_timelines computes it on columns and must give the
+# same values, bit for bit, with the same types.
+def poker_outcome(rec):
+    delta = rec.value_delta_bb
+    return Outcome(delta > 0, delta, rec.game_start, rec.game_id,
+                   rec.voluntary_entry)
+
+
+def rummy_outcome(rec):
+    delta = float(rec.winner_points) if rec.is_winner else -float(rec.loss_points)
+    return Outcome(rec.is_winner, delta, rec.game_start, rec.deal_id, None)

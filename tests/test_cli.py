@@ -266,14 +266,26 @@ def test_simulate_without_flags_uses_simconfig_defaults(tmp_path):
     assert simulated_config(tmp_path) == simgen.SimConfig().as_dict()
 
 
-def test_simulate_config_file_wins_over_flags(tmp_path):
+def test_simulate_config_file_sets_the_fields(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_players": 8, "games_per_player": 3,
                                 "points_cap": [3, 70]}))
-    config = simulated_config(tmp_path, "--config", str(path), "--seed", "5",
-                              "--players", "20", "--stagger-starts")
+    config = simulated_config(tmp_path, "--config", str(path))
     assert config == simgen.SimConfig(n_players=8, games_per_player=3,
                                       points_cap=(3, 70)).as_dict()
+
+
+def test_simulate_config_file_with_setting_flags_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_players": 8, "seed": 9}))
+    code = run(["simulate", "--config", str(path), "--seed", "5",
+                "--players", "20", "--stagger-starts",
+                "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --config: cannot be given with setting flags "
+        "(--players, --stagger-starts, --seed)\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flag,field", [

@@ -11,6 +11,7 @@ from cardskill import ingest
 from cardskill.ingest import (
     HeaderMismatch,
     IngestStats,
+    Rows,
     build_timelines,
     filter_min_games,
     parse_poker_log,
@@ -19,18 +20,15 @@ from cardskill.ingest import (
 from cardskill.records import (
     POKER_COLUMNS,
     RUMMY_COLUMNS,
-    Outcome,
     PlayerTimeline,
     PokerHandRecord,
     RecordError,
-    poker_outcome,
-    rummy_outcome,
     validate_poker_record,
     validate_rummy_record,
 )
 from cardskill.simgen import SimConfig, simulate
 
-from helpers import POKER_ROW, RUMMY_ROW
+from helpers import POKER_ROW, RUMMY_ROW, poker_outcome, rummy_outcome
 
 
 def poker_csv(rows):
@@ -45,6 +43,19 @@ def rummy_csv(rows):
     for row in rows:
         out.append(",".join(row[c] for c in RUMMY_COLUMNS))
     return ("\n".join(out) + "\n").encode()
+
+
+def _rows(records):
+    """Rows holding records, parsed from the log that to_row writes."""
+    record = type(records[0])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(record._fields)
+    writer.writerows(rec.to_row() for rec in records)
+    parse = parse_poker_log if record is PokerHandRecord else parse_rummy_log
+    rows, stats = parse(buf.getvalue().encode())
+    assert stats.rows_rejected == 0 and list(rows) == records
+    return rows
 
 
 class TestParsePoker:
@@ -65,7 +76,7 @@ class TestParsePoker:
 
     def test_empty_file_valid_header(self):
         recs, stats = parse_poker_log(poker_csv([]))
-        assert recs == []
+        assert list(recs) == [] and len(recs) == 0
         assert stats.rows_read == 0
 
     def test_header_mismatch_fatal(self):
@@ -91,7 +102,7 @@ class TestParseRummy:
     def test_winner_contradiction_rejected(self):
         bad = {**RUMMY_ROW, "loss_points": "20"}
         recs, stats = parse_rummy_log(rummy_csv([bad]))
-        assert recs == [] and stats.rows_rejected == 1
+        assert list(recs) == [] and stats.rows_rejected == 1
 
     def test_header_missing_deal_id(self):
         cols = [c for c in RUMMY_COLUMNS if c != "deal_id"]
@@ -99,6 +110,22 @@ class TestParseRummy:
         with pytest.raises(HeaderMismatch) as exc:
             parse_rummy_log(data)
         assert "deal_id" in str(exc.value)
+
+
+def test_rows_read_as_the_validator_records():
+    """A row only the validator accepts keeps its place among the rows the
+    column pass accepts; a table size beyond int64 is kept exactly."""
+    texts = [POKER_ROW, {**POKER_ROW, "voluntary_entry": " 0"},
+             {**POKER_ROW, "big_blind": "0"},
+             {**POKER_ROW, "max_players": "9223372036854775808"}]
+    rows, stats = parse_poker_log(poker_csv(texts))
+    expect = [validate_poker_record(texts[i]) for i in (0, 1, 3)]
+    assert stats.rows_rejected == 1 and len(rows) == 3
+    assert isinstance(rows, Rows)
+    assert repr(list(rows)) == repr(expect)
+    assert [repr(rows[i]) for i in (0, 1, 2, -1)] == \
+        [repr(r) for r in expect + expect[-1:]]
+    assert len(build_timelines(rows)["other"]["u1"]) == 1
 
 
 def _poker_rows(user_id, n, start_hour=0):
@@ -145,7 +172,7 @@ class TestBuildTimelines:
         for _ in range(5):
             shuffled = list(recs)
             rng.shuffle(shuffled)
-            assert build_timelines(shuffled) == base
+            assert build_timelines(_rows(shuffled)) == base
 
     def test_odd_table_size_goes_to_other_bucket(self):
         row = {**POKER_ROW, "max_players": "9", "num_players": "9"}
@@ -164,11 +191,33 @@ class TestBuildTimelines:
         # A duplicated hand with other chips: the stable sort keeps input
         # order, so such ties are the one case where order matters.
         rows = [{**POKER_ROW, "chips_won": "30"}, POKER_ROW]
-        recs, _ = parse_poker_log(poker_csv(rows))
+        recs = list(parse_poker_log(poker_csv(rows))[0])
         for order in (recs, recs[::-1]):
-            deltas = [o.value_delta
-                      for o in build_timelines(order)[6]["u1"].outcomes]
+            deltas = [o.value_delta for o
+                      in build_timelines(_rows(order))[6]["u1"].outcomes]
             assert deltas == [poker_outcome(r).value_delta for r in order]
+
+    def test_split_log_keeps_ties_in_order(self):
+        # One log split into two files inside a run of hands tied on
+        # (player, game_start, game_id): the parts, taken in argument
+        # order, give the whole log's timelines.
+        rows = ([{**POKER_ROW, "chips_won": w} for w in ("0", "30", "12")]
+                + _poker_rows("u1", 3, start_hour=11))
+        whole, _ = parse_poker_log(poker_csv(rows))
+        first, _ = parse_poker_log(poker_csv(rows[:2]))
+        rest, _ = parse_poker_log(poker_csv(rows[2:]))
+        assert repr(build_timelines(first, rest)) == repr(build_timelines(whole))
+        deltas = [o.value_delta
+                  for o in build_timelines(rest, first)[6]["u1"].outcomes]
+        assert deltas[:3] == [1.0, -5.0, 10.0]  # rest's tie, then first's
+
+    def test_rummy_loser_without_points_has_negative_zero(self):
+        row = {**RUMMY_ROW, "is_winner": "0", "winner_points": "0",
+               "win_amt": "0"}
+        recs, _ = parse_rummy_log(rummy_csv([row]))
+        (outcome,) = build_timelines(recs)[6]["u1"].outcomes
+        assert repr(outcome) == repr(rummy_outcome(recs[0]))
+        assert repr(outcome.value_delta) == "-0.0"
 
     def test_rummy_deal_number_tiebreak(self):
         rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n)}
@@ -177,22 +226,15 @@ class TestBuildTimelines:
         tls = build_timelines(recs)
         assert [o.key for o in tls[6]["u1"].outcomes] == ["d1", "d2", "d3"]
 
-    @pytest.mark.parametrize("record", [
-        Outcome(True, 1.0, 0, "g1"), {"user_id": "u1", "max_players": 6}],
-        ids=["outcome", "dict"])
-    def test_unsupported_record_raises(self, record):
-        recs, _ = parse_poker_log(poker_csv([POKER_ROW]))
-        with pytest.raises(TypeError, match=type(record).__name__):
-            build_timelines(recs + [record])
-
     def test_player_with_poker_and_rummy_records_raises(self):
         poker, _ = parse_poker_log(poker_csv([POKER_ROW]))
         rummy, _ = parse_rummy_log(rummy_csv([RUMMY_ROW]))
-        with pytest.raises(TypeError, match="RummyDealRecord.*'u1'.*6"):
-            build_timelines(poker + rummy)
+        with pytest.raises(TypeError, match="one record type"):
+            build_timelines(poker, rummy)
         # the same user_id at another table size is another timeline
-        three = [rummy[0]._replace(max_players=3, actual_players=3)]
-        tls = build_timelines(poker + three)
+        three, _ = parse_poker_log(poker_csv(
+            [{**POKER_ROW, "max_players": "3", "num_players": "3"}]))
+        tls = build_timelines(poker, three)
         assert len(tls[6]["u1"]) == len(tls[3]["u1"]) == 1
 
 
@@ -215,6 +257,7 @@ def _reference_timelines(records):
 
 
 def _simulated(game, table_size, n_players=200, seed=1):
+    """The Rows of a simulated log."""
     data, _ = simulate(SimConfig(game=game, table_size=table_size,
                                  n_players=n_players, games_per_player=100,
                                  stagger_starts=True, seed=seed))
@@ -225,14 +268,15 @@ def _simulated(game, table_size, n_players=200, seed=1):
 def test_build_matches_reference_staging(game, table_size):
     """Shuffled simulated records with odd table sizes and tied order keys
     give the reference's timelines: equal values, types and order."""
-    recs = _simulated(game, table_size, n_players=30, seed=4)
+    recs = list(_simulated(game, table_size, n_players=30, seed=4))
     rng = random.Random(7)
     recs += [r._replace(max_players=9) for r in rng.sample(recs, 40)]
     # every seat of one game as one player: each hand or deal is a tie
     game_id = rng.choice(recs).game_id
     recs += [r._replace(user_id="tied") for r in recs if r.game_id == game_id]
     rng.shuffle(recs)
-    assert repr(build_timelines(recs)) == repr(_reference_timelines(recs))
+    assert repr(build_timelines(_rows(recs))) == \
+        repr(_reference_timelines(recs))
 
 
 @pytest.mark.parametrize("game,table_size", [("poker", 2), ("rummy", 3)])
@@ -253,11 +297,9 @@ def test_build_peak_memory_is_its_result(game, table_size):
 
 class TestFilterMinGames:
     def _cohort(self, sizes):
-        recs = []
-        for uid, n in sizes.items():
-            r, _ = parse_poker_log(poker_csv(_poker_rows(uid, n)))
-            recs.extend(r)
-        return build_timelines(recs)[6]
+        parts = [parse_poker_log(poker_csv(_poker_rows(uid, n)))[0]
+                 for uid, n in sizes.items()]
+        return build_timelines(*parts)[6]
 
     def test_29_games_excluded_at_min_30(self):
         cohort = self._cohort({"a": 29})
@@ -290,8 +332,10 @@ _TS = ["2022-12-01T10:00:00Z", "2022-12-01T10:05:00.000Z",
 _ODD_TS = ["2022-12-01 10:00:00", "2022-12-01T11:00:00+01:00",
            " 2022-12-01T10:00:00Z", "20221201T100000Z", "2023-02-30T00:00:00Z",
            "2022-13-01T00:00:00Z", "yesterday", ""]
+# Beyond int64 and beyond the largest float, as integer texts.
 _ODD_NUMBER = ["", " 3", "3 ", "1_0", "+4", "1e3", "2.0", "-1", "12x", "nan",
-               "NaN", "inf", "-inf", "1e400"]
+               "NaN", "inf", "-inf", "1e400", "9223372036854775808",
+               "1" + "0" * 400]
 _ODD_WORD = ["", " ", "x,y", 'q"t', "two\nlines", " Ring", "Ring ", "ring",
              " Points", " 1", "1 ", "yes", "2"]
 
@@ -375,7 +419,8 @@ def test_column_pass_matches_row_validator(parse, columns, values, validate,
     with mock.patch.object(ingest, "CHUNK_ROWS", chunk):
         recs, stats = parse(log)
     ref_recs, ref_stats = _reference_parse(log, columns, validate)
-    assert repr(recs) == repr(ref_recs)  # also tells 2 from 2.0 and True
+    # repr also tells 2 from 2.0 and True
+    assert repr(list(recs)) == repr(ref_recs)
     assert stats.as_dict() == ref_stats.as_dict()
     assert [e.line for e in stats.first_error_samples] == \
         [e.line for e in ref_stats.first_error_samples]
@@ -399,6 +444,20 @@ def test_each_odd_text_matches_row_validator(parse, base, validate):
     with mock.patch.object(ingest, "CHUNK_ROWS", 7):
         recs, stats = parse(log)
     ref_recs, ref_stats = _reference_parse(log, columns, validate)
-    assert repr(recs) == repr(ref_recs)
+    assert repr(list(recs)) == repr(ref_recs)
     assert stats.as_dict() == ref_stats.as_dict()
     assert stats.rows_rejected > 0 and stats.rows_accepted > stats.rows_read / 2
+
+
+def test_error_samples_hold_no_traceback():
+    """A sampled error keeps no traceback, whose frames would keep the
+    parse's chunks alive for as long as the stats."""
+    rows = [POKER_ROW, {**POKER_ROW, "big_blind": "x"},
+            {**POKER_ROW, "big_blind": "0"}]
+    _, stats = parse_poker_log(poker_csv(rows))
+    assert [str(e) for e in stats.first_error_samples] == [
+        "line 3: field big_blind: cannot parse 'x' as number",
+        "line 4: big_blind > 0 violated"]
+    for sample in stats.first_error_samples:
+        assert sample.error.__traceback__ is None
+        assert sample.error.__context__ is None

@@ -11,13 +11,11 @@ from cardskill.records import (
     WinnerContradiction,
     format_timestamp,
     parse_timestamp,
-    poker_outcome,
-    rummy_outcome,
     validate_poker_record,
     validate_rummy_record,
 )
 
-from helpers import POKER_ROW, RUMMY_ROW
+from helpers import POKER_ROW, RUMMY_ROW, poker_outcome, rummy_outcome
 
 
 class TestValidatePoker:
