@@ -7,8 +7,10 @@ curve of games played; the winner of each game is drawn with probability
 proportional to exp(effective skill) among the seated players (sampled
 via the Gumbel-argmax trick, which is exactly that softmax).
 
-Output is byte-identical for a given config (seed included) across runs;
-it round-trips the ingest CSV formats with zero rejected rows.
+The game loop yields each round as a record of columns; records states the
+log layout and the outcome rule. Output is byte-identical for a given config
+(seed included) across runs; it round-trips the ingest CSV formats with zero
+rejected rows, which SimConfig.validate ensures.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
@@ -25,12 +28,16 @@ from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
 import numpy as np
 
 from .records import (
-    POKER_COLUMNS,
-    RUMMY_COLUMNS,
+    FIELDS,
+    TIMELINE,
     Outcome,
     PlayerTimeline,
-    _fmt,
-    format_timestamp,
+    PokerGameType,
+    PokerHandRecord,
+    PokerVariant,
+    Record,
+    RummyDealRecord,
+    RummyGameType,
     gc_paused,
     parse_timestamp,
 )
@@ -46,6 +53,12 @@ BASE_START = parse_timestamp("2022-12-01T00:00:00Z")
 SPAN_MS = 62 * 86_400_000  # Dec 2022 + Jan 2023
 GAME_DURATION_MS = 60_000
 TIMELINE_CHUNK = 1 << 16  # about how many outcomes to build at once
+RECORDS = {POKER: PokerHandRecord, RUMMY: RummyDealRecord}
+# Rummy loss points: Normal(POINTS_MU - POINTS_SKILL_COEFF * skill, POINTS_SD),
+# rounded and clamped to points_cap.
+POINTS_MU, POINTS_SD, POINTS_SKILL_COEFF = 40.0, 10.0, 10.0
+# Poker: a player's VPIP goes from VPIP_START to VPIP_END over their games.
+VPIP_START, VPIP_END = 0.6, 0.3
 
 
 class ConfigInvalid(ValueError):
@@ -55,9 +68,9 @@ class ConfigInvalid(ValueError):
 
 
 def finite_number(value) -> bool:
-    """True for a finite real number that is not a bool."""
+    """True for a real number that is not a bool and fits a finite float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) < math.inf)
+            and abs(value) <= sys.float_info.max)
 
 
 def _numbers(value) -> bool:
@@ -71,9 +84,9 @@ _KIND_TESTS = {
           lambda v: finite_number(v) and isinstance(v, numbers.Integral)),
     float: ("a finite number", finite_number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    Tuple[int, int]: ("a pair of numbers",
+    Tuple[int, int]: ("a pair of finite numbers",
                       lambda v: _numbers(v) and len(v) == 2),
-    Tuple[float, ...]: ("a list of numbers", _numbers),
+    Tuple[float, ...]: ("a list of finite numbers", _numbers),
 }
 
 
@@ -88,16 +101,8 @@ class SimConfig:
     learning_curve: str = POWER
     learning_b: float = 0.0
     learning_alpha: float = 0.5
-    # rummy loss-points model: Normal(points_mu - points_skill_coeff * skill,
-    # points_sd), rounded and clamped to points_cap
-    points_mu: float = 40.0
-    points_sd: float = 10.0
-    points_skill_coeff: float = 10.0
-    points_cap: Tuple[int, int] = (2, 80)
+    points_cap: Tuple[int, int] = (2, 80)  # rummy loss points, low..high
     value_per_point: float = 1.0
-    # poker: VPIP interpolates start -> end over a player's experience
-    vpip_start: float = 0.6
-    vpip_end: float = 0.3
     big_blind: float = 2.0
     # experience heterogeneity knobs
     min_games_per_player: Optional[int] = None  # spread quotas min..games
@@ -137,14 +142,19 @@ class SimConfig:
                                 f"must be {POWER!r} or {EXPONENTIAL!r}")
         if self.learning_alpha <= 0:
             raise ConfigInvalid("learning_alpha", "must be > 0")
-        if not (0 <= self.vpip_end <= 1 and 0 <= self.vpip_start <= 1):
-            raise ConfigInvalid("vpip_start", "VPIP bounds must lie in [0, 1]")
-        if self.points_cap[0] >= self.points_cap[1]:
-            raise ConfigInvalid("points_cap", "low bound must be < high bound")
-        if self.points_sd <= 0:
-            raise ConfigInvalid("points_sd", "must be > 0")
-        if self.big_blind <= 0:
-            raise ConfigInvalid("big_blind", "must be > 0")
+        # a deal's winner scores up to (table_size - 1) * high, exact in floats
+        low, high = self.points_cap
+        if not 0 <= low < high <= 2**53 // (self.table_size - 1):
+            raise ConfigInvalid("points_cap", "must be 0 <= low < high <= "
+                                "2**53 / (table_size - 1)")
+        if not (self.value_per_point >= 0 and finite_number(
+                self.value_per_point * ((self.table_size - 1) * high))):
+            raise ConfigInvalid("value_per_point", "must be >= 0, with "
+                                "(table_size - 1) * high of it finite")
+        # a pot is at most 5 big blinds a seat; 10 leaves room for rounding
+        if not 0 < self.big_blind * 10 * self.table_size <= sys.float_info.max:
+            raise ConfigInvalid("big_blind", "must be > 0 and at most the "
+                                "largest float / (10 * table_size)")
         if self.min_games_per_player is not None and not (
             1 <= self.min_games_per_player <= self.games_per_player
         ):
@@ -248,15 +258,13 @@ def _players(config: SimConfig) -> List[str]:
     return [f"p{i:0{pw}d}" for i in range(config.n_players)]
 
 
-def _seats(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
-           offsets: np.ndarray) -> Iterator[Tuple[int, np.ndarray, List[str],
-                                                   Tuple[np.ndarray, ...]]]:
-    """Run the matchmaking/game loop, for CSV emission and for direct
-    timeline construction alike. Each round is (timestamp, seated players
-    (tables, size), the tables' game ids, seat columns in the log order of
-    seated.ravel()): poker (won, value_delta_bb, voluntary, chips_placed,
-    chips_won); rummy (won, value_delta_points, points), where points are
-    the winner's points or the loser's loss points."""
+def _rounds(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
+            offsets: np.ndarray) -> Iterator[Tuple[np.ndarray, Record]]:
+    """The matchmaking/game loop of simulate and simulate_timelines. Each
+    round is (seated players (tables, size), rec): a record of the game's
+    type whose fields are the round's columns in seated.ravel() order, as
+    numpy arrays (of objects for str fields), or a plain value that every
+    row shares."""
     size = config.table_size
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed).spawn(1)[0]
@@ -265,6 +273,7 @@ def _seats(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
     step = max(SPAN_MS // max(total_rounds, 1), 1)
     gw = max(5, len(str(config.games_per_player * 2)))
     played = np.zeros(config.n_players, dtype=int)
+    users = np.array(_players(config), dtype=object)
 
     for r in range(total_rounds):
         active = np.nonzero((offsets <= r) & (played < quotas))[0]
@@ -278,86 +287,76 @@ def _seats(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
         gumbel = rng.gumbel(size=seated.shape)
         is_winner = np.zeros(seated.shape, dtype=bool)
         is_winner[np.arange(n_tables), np.argmax(eff + gumbel, axis=1)] = True
+        user, start = users[seated.ravel()], BASE_START + r * step
+        end = start + GAME_DURATION_MS
+        prefix = f"g{r:0{gw}d}t"
+        game = np.array([f"{prefix}{t:05d}" for t in range(n_tables)],
+                        dtype=object)
         if config.game == POKER:
             frac = exp_before / np.maximum(quotas[seated] - 1, 1)
-            vpip = config.vpip_start + (config.vpip_end - config.vpip_start) * frac
+            vpip = VPIP_START + (VPIP_END - VPIP_START) * frac
             voluntary = rng.random(seated.shape) < vpip
             # everyone posts one blind; a voluntary entry adds four more
             contrib = config.big_blind * (1.0 + 4.0 * voluntary)
             chips_won = np.where(is_winner, contrib.sum(axis=1)[:, None], 0.0)
-            delta = (chips_won - contrib) / config.big_blind
-            cols = (delta > 0, delta, voluntary, contrib, chips_won)
+            rec = PokerHandRecord(
+                user, np.repeat(game, size), PokerGameType.RING,
+                PokerVariant.TEXAS_HOLDEM, config.big_blind, contrib.ravel(),
+                chips_won.ravel(), size, size, 2, voluntary.ravel(),
+                start, end)
         else:
-            mu = config.points_mu - config.points_skill_coeff * eff
-            raw = rng.normal(mu, config.points_sd)
-            pts = np.clip(np.rint(raw), *config.points_cap).astype(int)
-            pts[is_winner] = 0
-            points = np.where(is_winner, pts.sum(axis=1)[:, None], pts)
-            delta = np.where(is_winner, points, -points).astype(float)
-            cols = (is_winner, delta, points)
+            raw = rng.normal(POINTS_MU - POINTS_SKILL_COEFF * eff, POINTS_SD)
+            loss = np.clip(np.rint(raw), *config.points_cap).astype(int)
+            loss[is_winner] = 0
+            won = np.where(is_winner, loss.sum(axis=1)[:, None], 0).ravel()
+            vpp = config.value_per_point  # float(): int64 products can wrap
+            rec = RummyDealRecord(
+                user, np.repeat(game, size), RummyGameType.POINTS, vpp,
+                size, size, start, end, start, end, 0.0, won * float(vpp),
+                np.repeat(game + "d1", size), 1, is_winner.ravel(), won,
+                loss.ravel())
         played[seated] += 1
-        prefix = f"g{r:0{gw}d}t"
-        yield (BASE_START + r * step, seated,
-               [f"{prefix}{t:05d}" for t in range(n_tables)],
-               tuple(c.ravel() for c in cols))
+        yield seated, rec
 
 
 def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     """Generate a CSV log (ingest's exact schema) plus the ground truth."""
     skills, quotas, offsets = _planted(config)
-    players = _players(config)
-    poker = config.game == POKER
-    size = str(config.table_size)
-    bb = _fmt(config.big_blind)
-    vpp = config.value_per_point
-    vpp_text = _fmt(vpp)
+    record = RECORDS[config.game]
+    texts = [text for _, _, _, text in FIELDS[record]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(POKER_COLUMNS if poker else RUMMY_COLUMNS)
-    for ts, seated, tables, cols in _seats(config, skills, quotas, offsets):
-        start = format_timestamp(ts)
-        end = format_timestamp(ts + GAME_DURATION_MS)
-        rows = zip([players[i] for i in seated.ravel().tolist()],
-                   [g for g in tables for _ in range(config.table_size)],
-                   *(c.tolist() for c in cols))
-        if poker:
-            writer.writerows(
-                [player, gid, "Ring", "TexasHoldem", bb, _fmt(placed),
-                 _fmt(chips_won), size, size, "2", "1" if voluntary else "0",
-                 start, end]
-                for player, gid, _, _, voluntary, placed, chips_won in rows)
-        else:
-            writer.writerows(
-                [player, gid, "Points", vpp_text, size, size,
-                 start, end, start, end, "0",
-                 _fmt(points * vpp) if won else "0", gid + "d1", "1",
-                 "1" if won else "0", str(points) if won else "0",
-                 "0" if won else str(points)]
-                for player, gid, won, _, points in rows)
+    writer.writerow(record._fields)
+    for seated, rec in _rounds(config, skills, quotas, offsets):
+        writer.writerows(zip(*(
+            map(text, value.tolist()) if isinstance(value, np.ndarray)
+            else repeat(text(value), seated.size)
+            for text, value in zip(texts, rec))))
     return buf.getvalue().encode("utf-8"), _truth(config, skills, quotas)
 
 
 def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     """Build player timelines directly from the game loop, bypassing CSV.
 
-    Equal to the config's table-size bucket of
-    build_timelines(parse_*_log(simulate(config))[0]), field types included,
-    at a fraction of the cost; used for large validation cohorts. The rounds
-    fill flat columns, ordered player-major by one stable argsort, and the
-    outcomes are built player by player in runs of about TIMELINE_CHUNK, so
-    each timeline lies together in memory; a round's outcomes share one
-    timestamp, a table's one key. The cyclic collector is paused meanwhile.
+    Equal, in repr too, to the config's table-size bucket of
+    build_timelines(parse_*_log(simulate(config))[0]) at a fraction of the
+    cost; used for large validation cohorts. Each round's outcome columns
+    come from records.TIMELINE. They fill flat columns, ordered player-major
+    by one stable argsort, and the outcomes are built player by player in
+    runs of about TIMELINE_CHUNK, so each timeline lies together in memory.
+    The cyclic collector is paused meanwhile.
     """
-    poker, size, n = config.game == POKER, config.table_size, config.n_players
+    size, n = config.table_size, config.n_players
+    outcome_columns = TIMELINE[RECORDS[config.game]][1]
     with gc_paused():
         skills, quotas, offsets = _planted(config)
         seats, cols, keys, stamps = [], [], [], []
-        for ts, seated, games, (won, delta, voluntary, *_) in _seats(
-                config, skills, quotas, offsets):
+        for seated, rec in _rounds(config, skills, quotas, offsets):
+            won, delta, key, voluntary = outcome_columns(rec)
             seats.append(seated.ravel().astype(np.int32))
-            cols.append((won, delta, voluntary if poker else won))
-            keys.extend(games if poker else [g + "d1" for g in games])
-            stamps.extend(repeat(ts, len(games)))
+            cols.append((won, delta, voluntary))
+            keys.extend(key[::size].tolist())
+            stamps.extend(repeat(rec.game_start, len(seated)))
         seat = np.concatenate(seats)
         order = np.argsort(seat, kind="stable")  # seat k is at table k // size
         counts = np.bincount(seat, minlength=n)
@@ -374,7 +373,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             outs = map(tuple.__new__, repeat(Outcome), zip(
                 won[idx].tolist(), delta[idx].tolist(),
                 map(stamps.__getitem__, t), map(keys.__getitem__, t),
-                voluntary[idx].tolist() if poker else repeat(None)))
+                voluntary[idx].tolist()))
             for user, k in zip(users[first:first + step],
                                counts[first:first + step]):
                 if k:

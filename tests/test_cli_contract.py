@@ -96,6 +96,27 @@ CASES = [
     ("config-stagger-starts-string", b'{"stagger_starts": "no"}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
      EXIT_USAGE, "stagger_starts"),
+    # configs whose rows ingest would reject, or whose log overflows
+    ("config-rummy-negative-points",
+     b'{"game": "rummy", "mode": "skill", "skill_sd": 2.0, "n_players": 60,'
+     b' "games_per_player": 20, "points_cap": [-10, 80], "seed": 5}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "points_cap"),
+    ("config-rummy-negative-value-per-point",
+     b'{"game": "rummy", "value_per_point": -0.5}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "value_per_point"),
+    ("config-big-blind-overflow", b'{"big_blind": 1e308}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "big_blind"),
+    ("config-rummy-value-per-point-overflow",
+     b'{"game": "rummy", "value_per_point": 1e308}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "value_per_point"),
+    ("config-rummy-points-cap-401-digits",
+     b'{"game": "rummy", "points_cap": [2, 1' + b"0" * 400 + b']}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "points_cap"),
     ("analyze-out-is-a-file", None,
      lambda p: _analyze(p["LOG"], p["FILE"]),
      EXIT_DATA, "FILE"),

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import sys
 from collections import defaultdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cardskill.ingest import build_timelines, parse_poker_log, parse_rummy_log
 from cardskill.simgen import (
@@ -172,8 +174,11 @@ def test_simulate_bytes_pinned(cfg, digest):
               seed=22),
     SimConfig(game="poker", table_size=3, n_players=31, games_per_player=15,
               min_games_per_player=5, seed=23),
+    # losers with 0 points: value_delta is -0.0 on both paths
+    SimConfig(game="rummy", table_size=3, n_players=45, games_per_player=20,
+              mode="skill", skill_sd=2.0, points_cap=(0, 80), seed=5),
 ], ids=["poker", "rummy", "poker-hu-stagger-quotas", "rummy-6",
-        "poker-3-ragged"])
+        "poker-3-ragged", "rummy-zero-point-losers"])
 def test_simulated_timelines_match_csv_path(cfg):
     data, _ = simulate(cfg)
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
@@ -181,6 +186,9 @@ def test_simulated_timelines_match_csv_path(cfg):
     via_csv = build_timelines(recs)[cfg.table_size]
     direct = simulate_timelines(cfg)
     assert via_csv == direct
+    # repr tells -0.0 from 0.0, which == does not
+    assert {u: repr(tl) for u, tl in via_csv.items()} == \
+        {u: repr(tl) for u, tl in direct.items()}
     assert list(direct) == sorted(direct)
     # dataclass == lets numpy scalars pass for Python ones; reports do not
     flag = bool if cfg.game == "poker" else type(None)
@@ -215,6 +223,27 @@ class TestConfigInvalid:
         with pytest.raises(ConfigInvalid):
             SimConfig(games_per_player=50, min_games_per_player=60).validate()
 
+    # Each of these gave rows that ingest rejects, or an OverflowError while
+    # the log was written.
+    @pytest.mark.parametrize("name,settings", [
+        ("points_cap", dict(game="rummy", mode="skill", skill_sd=2.0,
+                            points_cap=(-10, 80), n_players=60,
+                            games_per_player=20, seed=5)),
+        ("value_per_point", dict(game="rummy", value_per_point=-0.5,
+                                 n_players=30, games_per_player=10)),
+        ("big_blind", dict(big_blind=1e308)),
+        ("value_per_point", dict(game="rummy", value_per_point=1e308)),
+        ("points_cap", dict(game="rummy", points_cap=(2, 10**400))),
+        ("points_cap", dict(game="rummy", table_size=6,
+                            points_cap=(2, 2**53 // 5 + 1))),
+    ], ids=["negative-points", "negative-value", "big-blind-overflow",
+            "value-overflow", "points-cap-401-digits", "points-past-2**53"])
+    def test_rows_that_ingest_rejects_or_cannot_be_written(self, name,
+                                                           settings):
+        with pytest.raises(ConfigInvalid) as exc:
+            SimConfig(**settings).validate()
+        assert exc.value.field_name == name
+
     @pytest.mark.parametrize("name,value", [
         ("n_players", "10"), ("n_players", 4.5), ("seed", True),
         ("min_games_per_player", 2.0), ("skill_sd", float("nan")),
@@ -225,3 +254,64 @@ class TestConfigInvalid:
         with pytest.raises(ConfigInvalid) as exc:
             SimConfig(**{name: value}).validate()
         assert exc.value.field_name == name
+
+
+_MAX = sys.float_info.max
+
+
+def _edge(draw, valid, invalid):
+    """One of valid, or about one time in ten one of invalid."""
+    return draw(st.sampled_from(
+        invalid if draw(st.integers(0, 9)) == 9 else valid))
+
+
+@st.composite
+def small_configs(draw):
+    """Tiny cohorts of both games and every table size, with edge values of
+    the settings that shape the log's numbers, now and then invalid ones."""
+    size = draw(st.sampled_from([2, 3, 6]))
+    games = draw(st.integers(1, 6))
+    settings = dict(
+        game=draw(st.sampled_from(["poker", "rummy"])), table_size=size,
+        n_players=draw(st.integers(size, 3 * size)), games_per_player=games,
+        stagger_starts=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    if draw(st.booleans()):
+        settings.update(
+            mode="skill", skill_sd=draw(st.sampled_from([0.0, 3.0])),
+            learning_b=draw(st.sampled_from([0.0, 0.6])),
+            learning_curve=draw(st.sampled_from(["power", "exponential"])))
+    if draw(st.booleans()):
+        settings["min_games_per_player"] = draw(st.integers(1, games))
+    most = 2**53 // (size - 1)  # the largest high bound
+    high = _edge(draw, [1, 80, most], [most + 1, 10**400])
+    settings["points_cap"] = (_edge(draw, [0, min(2, high - 1), high - 1],
+                                    [-1, high]), high)
+    settings["big_blind"] = _edge(draw, [5e-324, 0.3, 2, 1e15 + 0.5,
+                                         _MAX / (10 * size)],
+                                  [_MAX / (10 * size - 1), 0.0, -2.0])
+    settings["value_per_point"] = _edge(draw, [0.0, 5e-324, 0.25, 3,
+                                               _MAX / 2**53], [1e300, -0.5])
+    return SimConfig(**settings)
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_simulated_log_round_trips(cfg):
+    try:
+        cfg.validate()
+    except ConfigInvalid:
+        for build in (simulate, simulate_timelines):
+            with pytest.raises(ConfigInvalid):
+                build(cfg)
+        return
+    data, _ = simulate(cfg)
+    parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
+    rows, stats = parse(data)
+    assert stats.rows_rejected == 0
+    via_csv = build_timelines(rows)[cfg.table_size]
+    direct = simulate_timelines(cfg)
+    assert {u: repr(tl) for u, tl in via_csv.items()} == \
+        {u: repr(tl) for u, tl in direct.items()}
