@@ -65,6 +65,9 @@ CASES = [
     ("thresholds-nan", b'{"r_min": NaN}',
      lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
      EXIT_DATA, "r_min"),
+    ("thresholds-beyond-floats", b'{"r_min": 1' + b"0" * 400 + b'}',
+     lambda p: _analyze(p["LOG"], p["OUT"], "--thresholds", p["IN"]),
+     EXIT_DATA, "r_min"),
     ("split-date-month-13", None,
      lambda p: _analyze(p["LOG"], p["OUT"], "--split-date", "2023-13"),
      EXIT_USAGE, "--split-date"),

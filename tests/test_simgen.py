@@ -223,8 +223,8 @@ class TestConfigInvalid:
         with pytest.raises(ConfigInvalid):
             SimConfig(games_per_player=50, min_games_per_player=60).validate()
 
-    # Each of these gave rows that ingest rejects, or an OverflowError while
-    # the log was written.
+    # Configs whose rows ingest would reject, or whose numbers could
+    # overflow while the log is written.
     @pytest.mark.parametrize("name,settings", [
         ("points_cap", dict(game="rummy", mode="skill", skill_sd=2.0,
                             points_cap=(-10, 80), n_players=60,
@@ -259,10 +259,11 @@ class TestConfigInvalid:
 _MAX = sys.float_info.max
 
 
-def _edge(draw, valid, invalid):
-    """One of valid, or about one time in ten one of invalid."""
+def _edge(draw, common, rare):
+    """One of common, or about one time in ten one of rare: values at or
+    past the edge of the valid range."""
     return draw(st.sampled_from(
-        invalid if draw(st.integers(0, 9)) == 9 else valid))
+        rare if draw(st.integers(0, 9)) == 9 else common))
 
 
 @st.composite
@@ -284,14 +285,14 @@ def small_configs(draw):
             learning_curve=draw(st.sampled_from(["power", "exponential"])))
     if draw(st.booleans()):
         settings["min_games_per_player"] = draw(st.integers(1, games))
-    most = 2**53 // (size - 1)  # the largest high bound
+    most = 2**53 // (size - 1)  # the largest valid high bound
     high = _edge(draw, [1, 80, most], [most + 1, 10**400])
     settings["points_cap"] = (_edge(draw, [0, min(2, high - 1), high - 1],
                                     [-1, high]), high)
     settings["big_blind"] = _edge(draw, [5e-324, 0.3, 2, 1e15 + 0.5,
                                          _MAX / (10 * size)],
                                   [_MAX / (10 * size - 1), 0.0, -2.0])
-    settings["value_per_point"] = _edge(draw, [0.0, 5e-324, 0.25, 3,
+    settings["value_per_point"] = _edge(draw, [0.0, 5e-324, 0.25, 3, 2**62,
                                                _MAX / 2**53], [1e300, -0.5])
     return SimConfig(**settings)
 
