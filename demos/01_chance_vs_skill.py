@@ -10,6 +10,7 @@ from cardskill.stattests import (
     classify,
     learning_curve_test,
     persistence_test,
+    player_values,
     qq_test,
 )
 
@@ -19,9 +20,8 @@ def run_battery(name, config):
     persistence = persistence_test(timelines, split="month", min_games=30,
                                    seed=config.seed)
     learning = learning_curve_test(timelines, bin_width=10)
-    rates = [sum(o.won for o in tl.outcomes) / len(tl.outcomes)
-             for _, tl in sorted(timelines.items())]
-    normality = qq_test(rates)
+    rates = player_values(timelines, "win_rate")
+    normality = qq_test(list(rates.values()))
     report = classify(persistence, learning, normality)
 
     print(f"--- {name} ---")

@@ -48,6 +48,7 @@ from .stattests import (
     classify,
     learning_curve_test,
     persistence_test,
+    player_values,
     qq_test,
     quantile_summary,
 )
@@ -223,14 +224,13 @@ def cmd_analyze(args) -> int:
     learning = learning_curve_test(cohort, metric=args.metric,
                                    bin_width=args.bin_width,
                                    trend_epsilon=thresholds["trend_epsilon"])
-    win_rate = METRICS["win_rate"]
-    rates = {u: win_rate(tl.outcomes) for u, tl in cohort.items()}
-    normality = qq_test([rates[u] for u in sorted(rates)],
+    rates = player_values(cohort, "win_rate")
+    normality = qq_test(list(rates.values()),
                         threshold_r2=thresholds["threshold_r2"],
                         threshold_dev=thresholds["threshold_dev"])
     k = args.quantile_groups or (10 if args.game == "poker" else 4)
     quantiles = quantile_summary(
-        [(len(cohort[u].outcomes), rates[u]) for u in sorted(cohort)], k)
+        [(len(cohort[u].outcomes), r) for u, r in rates.items()], k)
 
     report = classify(persistence, learning, normality,
                       thresholds=thresholds, quantiles=quantiles)

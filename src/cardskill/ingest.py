@@ -1,10 +1,14 @@
 """CSV ingestion and timeline assembly.
 
-Parsers read the CSV in chunks of CHUNK_ROWS records and convert each chunk
-a column at a time: one map() per column, a dict lookup for enums and 0/1
-flags, one parse per distinct timestamp text. records.INVARIANTS is then
-tested over the chunk's columns as one mask. A row that the column pass or
-the mask rejects goes to the row validator (records.validate_*), which alone
+Parsers read the CSV in chunks of CHUNK_ROWS lines. A plain chunk (no quote,
+no CR, no line over csv.field_size_limit(), one comma fewer than the header
+has columns on every line) is split with one str.split(","); from the first
+chunk that is not plain, csv.reader reads the rest in chunks of CHUNK_ROWS
+records. Either way the chunk's column table is converted a column at a
+time: one map() per column, a dict lookup for enums and 0/1 flags, one
+parse per distinct timestamp text. records.INVARIANTS is then tested over
+the chunk's columns as one mask. A row that the column pass or the mask
+rejects goes to the row validator (records.validate_*), which alone
 decides it and words its error, so the rows, counts and messages are those
 of a row-by-row parse. The accepted rows are returned as columns (Rows),
 with no object per row; memory still grows with the log. Rows failing
@@ -238,13 +242,26 @@ class _Joined:
         return column
 
 
+def _plain_columns(lines: List[str], width: int,
+                   n: int) -> Optional[List[list]]:
+    """Columns 0..width-1 of lines split at every comma if lines is a plain
+    chunk, whose lines csv.reader reads as their n texts between commas."""
+    chunk = "".join(lines)
+    if ('"' in chunk or "\r" in chunk
+            or max(map(len, lines), default=0) > csv.field_size_limit()
+            or set(map(str.count, lines, itertools.repeat(","))) != {n - 1}):
+        return None
+    flat = chunk.replace("\n", ",").split(",")
+    stop = len(lines) * n  # past the blank left by a final newline
+    return [flat[j:stop:n] for j in range(width)]
+
+
 def _parse_log(stream, record: type,
                validate: Callable) -> Tuple[Rows, IngestStats]:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-    reader = csv.reader(text)
-    header = [h.strip() for h in next(reader, [])]
+    header = [h.strip() for h in next(csv.reader(text), [])]
     missing = [c for c in record._fields if c not in header]
     if missing:
         raise HeaderMismatch(missing)
@@ -260,24 +277,31 @@ def _parse_log(stream, record: type,
     # Each column's accepted pieces, from an empty one of its type on.
     pieces = [[convert((), set())] for _, convert in converters]
     line_no = 2  # of the next csv record: the header is line 1
+    reader = None  # csv.reader from the first chunk that is not plain on
     while True:
-        block = list(itertools.islice(reader, CHUNK_ROWS))
+        if reader is None:
+            block = list(itertools.islice(text, CHUNK_ROWS))
+            table = _plain_columns(block, width, len(header))
+            if table is None:
+                reader = csv.reader(itertools.chain(block, text))
+        if reader is not None:
+            block, table = list(itertools.islice(reader, CHUNK_ROWS)), None
         if not block:
             break
-        if all(block):
-            rows, lines = block, range(line_no, line_no + len(block))
-        else:  # blank records are skipped but keep their line numbers
-            rows = [row for row in block if row]
-            lines = [n for n, row in enumerate(block, line_no) if row]
+        lines = range(line_no, line_no + len(block))
         line_no += len(block)
-        stats.rows_read += len(rows)
-        if not rows:
-            continue
+        if table is None:
+            if not all(block):  # blank records keep their line numbers
+                lines = [n for n, row in zip(lines, block) if row]
+                block = [row for row in block if row]
+                if not block:
+                    continue
+            # Short rows are padded with blanks, which no converter accepts.
+            if min(map(len, block)) < width:
+                block = [row + [""] * (width - len(row)) for row in block]
+            table = list(zip(*block))
+        stats.rows_read += len(lines)
 
-        # Short rows are padded with blanks, which no converter accepts.
-        full = rows if min(map(len, rows)) >= width else [
-            row + [""] * (width - len(row)) for row in rows]
-        table = list(zip(*full))
         bad: Set[int] = set()
         columns = [convert(table[j], bad) for j, convert in converters]
         flagged = _broken(record._make(
@@ -287,11 +311,8 @@ def _parse_log(stream, record: type,
         # The row validator decides every row the column pass did not
         # accept, and words every error; a row it accepts keeps its place.
         for i in np.flatnonzero(flagged).tolist():
-            row = rows[i]
-            raw = {name: row[j] if j < len(row) else ""
-                   for name, j in index.items()}
             try:
-                rec = validate(raw)
+                rec = validate({name: table[j][i] for name, j in index.items()})
             except RecordError as exc:
                 stats.record_error(lines[i], exc)
                 continue

@@ -73,20 +73,23 @@ def finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _numbers(value) -> bool:
-    return isinstance(value, (tuple, list)) and all(map(finite_number, value))
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _all(test):
+    return lambda v: isinstance(v, (tuple, list)) and all(map(test, v))
 
 
 # What a field's value must be, and its test, by the field's annotation,
 # checked before the value rules; an Optional field also takes None.
 _KIND_TESTS = {
-    int: ("an integer",
-          lambda v: finite_number(v) and isinstance(v, numbers.Integral)),
+    int: ("an integer", lambda v: _integer(v) and finite_number(v)),
     float: ("a finite number", finite_number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    Tuple[int, int]: ("a pair of finite numbers",
-                      lambda v: _numbers(v) and len(v) == 2),
-    Tuple[float, ...]: ("a list of finite numbers", _numbers),
+    Tuple[int, int]: ("a pair of integers",
+                      lambda v: _all(_integer)(v) and len(v) == 2),
+    Tuple[float, ...]: ("a list of finite numbers", _all(finite_number)),
 }
 
 

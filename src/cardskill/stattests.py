@@ -242,6 +242,18 @@ def _blocks(timelines: Mapping[str, PlayerTimeline]
             users, flat, bounds = [], [], [0]
 
 
+def player_values(timelines: Mapping[str, PlayerTimeline],
+                  metric: str) -> Dict[str, Optional[float]]:
+    """METRICS[metric] over each player's whole timeline, by user id in
+    user order, read in runs of about STAT_BLOCK outcomes."""
+    segments = METRICS[metric].segments
+    values: Dict[str, Optional[float]] = {}
+    for users, bounds, flat in _blocks(timelines):
+        values.update(zip(users, segments(
+            Segments(flat, bounds[:-1], bounds[1:]))))
+    return values
+
+
 def resolve_split(
     timelines: Mapping[str, PlayerTimeline],
     split: Union[int, str] = "month",
@@ -253,8 +265,9 @@ def resolve_split(
         return split
     if split != "month":
         raise ValueError(f"unknown split rule: {split!r}")
-    ends = [f(column(flat, "timestamp")) for _, _, flat in _blocks(timelines)
-            if flat for f in (np.min, np.max)]
+    stamps = (column(flat, "timestamp") for _, _, flat in _blocks(timelines)
+              if flat)
+    ends = [f(ts) for ts in stamps for f in (np.min, np.max)]
     if not ends:
         raise InsufficientPlayers("no outcomes to split")
     lo, hi = int(min(ends)), int(max(ends))

@@ -28,6 +28,7 @@ from cardskill.stattests import (
     learning_curve_test,
     pearson,
     persistence_test,
+    player_values,
     qq_test,
     quantile_summary,
 )
@@ -42,9 +43,7 @@ def _report(criterion, ok, detail):
 def _battery(timelines, seed):
     p = persistence_test(timelines, split="month", min_games=30, seed=seed)
     l = learning_curve_test(timelines, bin_width=10)
-    rates = [sum(o.won for o in tl.outcomes) / len(tl.outcomes)
-             for _, tl in sorted(timelines.items())]
-    q = qq_test(rates)
+    q = qq_test(list(player_values(timelines, "win_rate").values()))
     return p, l, q
 
 

@@ -1,13 +1,16 @@
 """The CLI's input contract: every failure ends in a documented exit code
 (2 usage, 3 data, 4 cohort) with one "error:" line, never a traceback."""
 
+import csv
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cardskill import ingest
 from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cardskill.simgen import SimConfig, simulate
 
@@ -120,6 +123,14 @@ CASES = [
      b'{"game": "rummy", "points_cap": [2, 1' + b"0" * 400 + b']}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
      EXIT_USAGE, "points_cap"),
+    ("config-rummy-points-cap-fractions",
+     b'{"game": "rummy", "points_cap": [2.5, 80.5]}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "points_cap"),
+    ("config-rummy-points-cap-integral-floats",
+     b'{"game": "rummy", "points_cap": [2.0, 80.0]}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "points_cap"),
     ("analyze-out-is-a-file", None,
      lambda p: _analyze(p["LOG"], p["FILE"]),
      EXIT_DATA, "FILE"),
@@ -202,6 +213,21 @@ def test_non_utf8_error_names_the_line(tmp_path, capsys, pos):
     assert capsys.readouterr().err == (
         f"error: {path}: line {line}: 'utf-8' codec can't decode byte 0xff "
         f"in position {column}: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_oversized_field_in_a_later_plain_chunk(tmp_path, capsys, command):
+    """The field over csv.field_size_limit() is on line 300, in chunk 5 of
+    64 rows; chunks 1 to 4 are plain."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(oversized_field(BASE_LOG, 300))
+    argv = (["ingest", "--game", "poker", str(path)] if command == "ingest"
+            else _analyze(str(path), str(tmp_path / "out")))
+    with mock.patch.object(ingest, "CHUNK_ROWS", 64):
+        assert exit_code(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
 
 
 def test_ingest_bad_header_goes_to_stderr(tmp_path, capsys):

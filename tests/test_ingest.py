@@ -361,17 +361,19 @@ _RUMMY_VALUES = {**_VALUES, "game_type": ["Points", "Pool", "Deal", "Ring"],
 @st.composite
 def _log(draw, columns, values):
     """CSV bytes with odd texts, short, long and blank rows, a shuffled
-    header and sometimes an extra column."""
+    header, sometimes an extra column, and \n or \r\n line ends. With \n,
+    the rows up to the first odd one are plain chunks."""
     header = draw(st.permutations(columns + ["note"] * draw(st.booleans())))
     pools = [values.get(name, ["n"]) for name in header]
     good = st.tuples(*(st.sampled_from(p[:1] * 4 + p) for p in pools))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator=end)
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 30))):
         shape = draw(st.sampled_from(["full"] * 6 + ["short", "long", "blank"]))
         if shape == "blank":
-            buf.write("\r\n")
+            buf.write(end)
             continue
         row = list(draw(good))
         odd = draw(st.integers(0, 2 * len(row)))  # this field, if any, is odd
@@ -426,15 +428,18 @@ def test_column_pass_matches_row_validator(parse, columns, values, validate,
         [e.line for e in ref_stats.first_error_samples]
 
 
-@pytest.mark.parametrize("parse,base,validate", [
-    (parse_poker_log, POKER_ROW, validate_poker_record),
-    (parse_rummy_log, RUMMY_ROW, validate_rummy_record),
-], ids=["poker", "rummy"])
-def test_each_odd_text_matches_row_validator(parse, base, validate):
-    """Every odd text in every column, one per row, between clean rows."""
+@pytest.mark.parametrize("parse,base,validate,end", [
+    (parse_poker_log, POKER_ROW, validate_poker_record, "\r\n"),
+    (parse_rummy_log, RUMMY_ROW, validate_rummy_record, "\r\n"),
+    (parse_poker_log, POKER_ROW, validate_poker_record, "\n"),
+    (parse_rummy_log, RUMMY_ROW, validate_rummy_record, "\n"),
+], ids=["poker", "rummy", "poker-lf", "rummy-lf"])
+def test_each_odd_text_matches_row_validator(parse, base, validate, end):
+    """Every odd text in every column, one per row, between clean rows.
+    With \n line ends the chunks are plain until the first quoted text."""
     columns = list(base)
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator=end)
     writer.writerow(columns)
     for name in columns:
         for text in _ODD_TS + _ODD_NUMBER + _ODD_WORD:
@@ -447,6 +452,54 @@ def test_each_odd_text_matches_row_validator(parse, base, validate):
     assert repr(list(recs)) == repr(ref_recs)
     assert stats.as_dict() == ref_stats.as_dict()
     assert stats.rows_rejected > 0 and stats.rows_accepted > stats.rows_read / 2
+
+
+def _plain_log(base, rows, odd_row=None, odd=""):
+    """A log of rows copies of base with \n line ends, game_id as the first
+    column and user_id as the last; every fourth row has a bad big_blind or
+    buy_in. Row odd_row (0-based) is then given the odd text: a quoted
+    game_id, a \r\n or \r line end, or a blank, short or long line."""
+    columns = [c for c in base if c != "user_id"] + ["user_id"]
+    bad = "big_blind" if "big_blind" in base else "buy_in"
+    lines = []
+    for i in range(rows):
+        row = {**base, "user_id": f"u{i % 3}", bad: "x" if i % 4 == 3
+               else base[bad]}
+        lines.append(",".join(row[c] for c in columns) + "\n")
+    if odd_row is not None:
+        line = lines[odd_row]
+        game_id, rest = line.split(",", 1)
+        lines[odd_row] = {
+            "quoted": f'"{game_id}",{rest}',
+            "quoted-newline": f'"g\n{game_id}",{rest}',
+            "crlf": line[:-1] + "\r\n",
+            "cr": line[:-1] + "\r",
+            "blank": "\n" + line,
+            "short": line.split(",", 1)[1],
+            "long": "extra," + line,
+        }[odd]
+    return (",".join(columns) + "\n" + "".join(lines)).encode()
+
+
+@pytest.mark.parametrize("odd", [None, "quoted", "quoted-newline", "crlf",
+                                 "cr", "blank", "short", "long"])
+@pytest.mark.parametrize("parse,base,validate", [
+    (parse_poker_log, POKER_ROW, validate_poker_record),
+    (parse_rummy_log, RUMMY_ROW, validate_rummy_record),
+], ids=["poker", "rummy"])
+def test_csv_reader_takes_over_in_chunk_3(parse, base, validate, odd):
+    """Chunks 1 and 2 of 7 rows are plain; the first text that is not
+    plain lies in chunk 3, and csv.reader reads from its first row on."""
+    log = _plain_log(base, 40, None if odd is None else 16, odd)
+    assert (log == _plain_log(base, 40)) == (odd is None)
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+        recs, stats = parse(log)
+    ref_recs, ref_stats = _reference_parse(log, list(base), validate)
+    assert repr(list(recs)) == repr(ref_recs)
+    assert stats.as_dict() == ref_stats.as_dict()
+    assert [e.line for e in stats.first_error_samples] == \
+        [e.line for e in ref_stats.first_error_samples]
+    assert stats.rows_rejected >= 9
 
 
 def test_error_samples_hold_no_traceback():

@@ -249,6 +249,8 @@ class TestConfigInvalid:
         ("min_games_per_player", 2.0), ("skill_sd", float("nan")),
         ("big_blind", "2"), ("stagger_starts", "no"), ("points_cap", (2,)),
         ("points_cap", (2, "80")), ("skill_overrides", ("a", "b")),
+        ("points_cap", (2.5, 80.5)), ("points_cap", (2.0, 80.0)),
+        ("points_cap", (True, 80)),
     ])
     def test_field_type_named(self, name, value):
         with pytest.raises(ConfigInvalid) as exc:

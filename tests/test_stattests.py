@@ -32,6 +32,7 @@ from cardskill.stattests import (
     learning_curve_test,
     pearson,
     persistence_test,
+    player_values,
     qq_test,
     quantile_summary,
 )
@@ -680,6 +681,31 @@ class TestSegmentForm:
             assert got == repr(tuple(points))
         else:
             assert got is InsufficientPlayers
+
+    @settings(max_examples=200, deadline=None)
+    @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
+           block=st.sampled_from([None, 1, 5]))
+    def test_player_values(self, cohort, metric, block):
+        with _stat_block(block):
+            got = outcome_of(player_values, cohort, metric)
+        assert got == outcome_of(lambda: {
+            u: METRICS[metric](cohort[u].outcomes) for u in sorted(cohort)})
+
+
+@pytest.mark.parametrize("game", ["poker", "rummy"])
+def test_player_values_of_simulated_cohorts(game):
+    """Every metric of each player over runs of 64 outcomes, None (rummy
+    tightness; a player who never lost) included, bit for bit."""
+    cohort = simulate_timelines(SimConfig(
+        game=game, table_size=3, n_players=30, games_per_player=20,
+        min_games_per_player=3, mode="skill", skill_sd=2.0, seed=4))
+    for metric, fn in METRICS.items():
+        with _stat_block(64):
+            got = player_values(cohort, metric)
+        expected = {u: fn(cohort[u].outcomes) for u in sorted(cohort)}
+        assert list(got) == list(expected)
+        assert repr(got) == repr(expected)
+    assert None in player_values(cohort, "avg_points_lost_losing").values()
 
 
 def test_unpaired_players_leave_the_spans():
