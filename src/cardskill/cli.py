@@ -9,7 +9,8 @@ error that names the flags.
 Commands return 0 or raise. main() alone maps a raised error to an exit
 code through EXIT_CODES and prints one "error: ..." line to stderr:
 2, usage: a bad flag (argparse), --split-date not YYYY-MM, --config with a
-setting flag, or an invalid simulator config value, named by its field;
+setting flag, an invalid simulator config value, named by its field, or one
+log file given to analyze twice, checked before any log is read;
 3, data: a log that is unreadable, not UTF-8, badly headed or holds a field
 over the csv module's size limit, a thresholds or config file that is not a
 JSON object, a bad threshold key or value, a failed statistic, or an --out
@@ -58,10 +59,15 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COHORT = 4
 
+
+class UsageError(ValueError):
+    """Arguments that argparse accepts but that do not go together."""
+
+
 # First match wins: the two cohort errors are StatTestErrors too.
 EXIT_CODES = (
     ((InsufficientPlayers, TooFewPlayers), EXIT_COHORT),
-    ((ConfigInvalid,), EXIT_USAGE),
+    ((ConfigInvalid, UsageError), EXIT_USAGE),
     ((HeaderMismatch, RecordError, StatTestError, MetricError, OSError,
       json.JSONDecodeError, UnicodeDecodeError), EXIT_DATA),
 )
@@ -205,7 +211,18 @@ def _load_thresholds(path: Optional[str]) -> Dict[str, float]:
     return th
 
 
+def _distinct(paths: List[str]) -> None:
+    """Raise UsageError if two of paths, however spelled, name one file."""
+    seen: Dict[str, str] = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"log given twice: {seen[real]} and {path}")
+        seen[real] = path
+
+
 def cmd_analyze(args) -> int:
+    _distinct(args.paths)
     thresholds = _load_thresholds(args.thresholds)
     parts, stats_list = zip(*(_parse_file(path, args.game)
                               for path in args.paths))

@@ -18,7 +18,8 @@ longer than csv.field_size_limit() (csv.Error) aborts a parse.
 
 build_timelines codes the players, sorts all rows at once by player and
 game_start, orders tied rows by their type's fields in records.TIMELINE and
-builds every outcome from the sorted columns.
+builds every outcome from the sorted columns through assemble_timelines,
+which simgen.simulate_timelines calls too.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ def _parse_log(stream, record: type,
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    try:
+        return _parse_text(text, record, validate)
+    finally:
+        text.detach()  # a wrapper that is let go closes the stream it wraps
+
+
+def _parse_text(text, record: type,
+                validate: Callable) -> Tuple[Rows, IngestStats]:
     header = [h.strip() for h in next(csv.reader(text), [])]
     missing = [c for c in record._fields if c not in header]
     if missing:
@@ -328,12 +337,14 @@ def _parse_log(stream, record: type,
 
 
 def parse_poker_log(stream) -> Tuple[Rows, IngestStats]:
-    """Parse a poker hand-history CSV. stream: bytes or binary file."""
+    """Parse a poker hand-history CSV. stream: bytes or binary file, which
+    is left open."""
     return _parse_log(stream, PokerHandRecord, validate_poker_record)
 
 
 def parse_rummy_log(stream) -> Tuple[Rows, IngestStats]:
-    """Parse a rummy deal-log CSV. stream: bytes or binary file."""
+    """Parse a rummy deal-log CSV. stream: bytes or binary file, which is
+    left open."""
     return _parse_log(stream, RummyDealRecord, validate_rummy_record)
 
 
@@ -381,18 +392,23 @@ def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
     return groups, np.bincount(code, minlength=len(groups)).tolist(), order
 
 
-def _outcomes(columns: tuple, order: np.ndarray) -> Iterator[Outcome]:
-    """The Outcomes of columns (won, value_delta, timestamp, key,
-    voluntary_entry) at the rows in order, OUTCOME_BLOCK at a time."""
+def assemble_timelines(groups: list, counts: list, order: np.ndarray,
+                       read: Callable[[np.ndarray], tuple]) -> TimelineMap:
+    """The timelines of groups, (bucket, user_id) pairs, in order: each
+    takes the next of counts rows of order. read(rows) gives the outcome
+    columns (won, value_delta, timestamp, key, voluntary_entry) of an array
+    of rows as lists; it is called OUTCOME_BLOCK rows at a time."""
     def block(first: int) -> Iterator[Outcome]:
-        rows = order[first:first + OUTCOME_BLOCK]
-        at = rows.tolist()
         # tuple.__new__ skips NamedTuple's Python-level __new__
-        return map(tuple.__new__, itertools.repeat(Outcome), zip(*(
-            c[rows].tolist() if isinstance(c, np.ndarray)
-            else list(map(c.__getitem__, at)) for c in columns)))
-    return itertools.chain.from_iterable(
+        return map(tuple.__new__, itertools.repeat(Outcome),
+                   zip(*read(order[first:first + OUTCOME_BLOCK])))
+    outcomes = itertools.chain.from_iterable(
         map(block, range(0, len(order), OUTCOME_BLOCK)))
+    result: TimelineMap = {}
+    for (bucket, user), count in zip(groups, counts):
+        result.setdefault(bucket, {})[user] = PlayerTimeline(
+            user, bucket, tuple(itertools.islice(outcomes, count)))
+    return result
 
 
 def build_timelines(*parts: Rows) -> TimelineMap:
@@ -409,12 +425,13 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     ties, outcome_columns = TIMELINE[record]
     groups, counts, order = _grouped(cols, ties)
     won, delta, key, voluntary = outcome_columns(cols)
-    outcomes = _outcomes((won, delta, cols.game_start, key, voluntary), order)
-    result: TimelineMap = {}
-    for (bucket, user), count in zip(groups, counts):
-        result.setdefault(bucket, {})[user] = PlayerTimeline(
-            user, bucket, tuple(itertools.islice(outcomes, count)))
-    return result
+    columns = (won, delta, cols.game_start, key, voluntary)
+
+    def read(rows: np.ndarray) -> list:
+        at = rows.tolist()
+        return [c[rows].tolist() if isinstance(c, np.ndarray)
+                else list(map(c.__getitem__, at)) for c in columns]
+    return assemble_timelines(groups, counts, order, read)
 
 
 def filter_min_games(

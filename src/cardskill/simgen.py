@@ -22,15 +22,15 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
+from .ingest import assemble_timelines
 from .records import (
     FIELDS,
     TIMELINE,
-    Outcome,
     PlayerTimeline,
     PokerGameType,
     PokerHandRecord,
@@ -52,7 +52,6 @@ EXPONENTIAL = "exponential"
 BASE_START = parse_timestamp("2022-12-01T00:00:00Z")
 SPAN_MS = 62 * 86_400_000  # Dec 2022 + Jan 2023
 GAME_DURATION_MS = 60_000
-TIMELINE_CHUNK = 1 << 16  # about how many outcomes to build at once
 RECORDS = {POKER: PokerHandRecord, RUMMY: RummyDealRecord}
 # Rummy loss points: Normal(POINTS_MU - POINTS_SKILL_COEFF * skill, POINTS_SD),
 # rounded and clamped to points_cap.
@@ -327,15 +326,21 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     skills, quotas, offsets = _planted(config)
     record = RECORDS[config.game]
     texts = [text for _, _, _, text in FIELDS[record]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record._fields)
+    out = io.BytesIO()
+
+    def write(rows) -> None:
+        # Each round is encoded as soon as it is written: the log is held
+        # once.
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        out.write(buf.getvalue().encode("utf-8"))
+    write([record._fields])
     for seated, rec in _rounds(config, skills, quotas, offsets):
-        writer.writerows(zip(*(
+        write(zip(*(
             map(text, value.tolist()) if isinstance(value, np.ndarray)
             else repeat(text(value), seated.size)
             for text, value in zip(texts, rec))))
-    return buf.getvalue().encode("utf-8"), _truth(config, skills, quotas)
+    return out.getvalue(), _truth(config, skills, quotas)
 
 
 def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
@@ -345,11 +350,10 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     build_timelines(parse_*_log(simulate(config))[0]) at a fraction of the
     cost; used for large validation cohorts. Each round's outcome columns
     come from records.TIMELINE. They fill flat columns, ordered player-major
-    by one stable argsort, and the outcomes are built player by player in
-    runs of about TIMELINE_CHUNK, so each timeline lies together in memory.
-    The cyclic collector is paused meanwhile.
+    by one stable argsort, from which ingest.assemble_timelines builds the
+    timelines. The cyclic collector is paused meanwhile.
     """
-    size, n = config.table_size, config.n_players
+    size = config.table_size
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
     with gc_paused():
         skills, quotas, offsets = _planted(config)
@@ -362,24 +366,15 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             stamps.extend(repeat(rec.game_start, len(seated)))
         seat = np.concatenate(seats)
         order = np.argsort(seat, kind="stable")  # seat k is at table k // size
-        counts = np.bincount(seat, minlength=n)
-        step = max(1, TIMELINE_CHUNK * n // len(seat))  # players per run
+        counts = np.bincount(seat, minlength=config.n_players)
         won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
         del seats, cols, seat  # freed first, the outcomes reuse their memory
-        ends = np.concatenate(([0], counts.cumsum())).tolist()
-        users, counts = _players(config), counts.tolist()
-        timelines: Dict[str, PlayerTimeline] = {}
-        for first in range(0, n, step):
-            idx = order[ends[first]:ends[min(first + step, n)]]
-            t = (idx // size).tolist()
-            # tuple.__new__ skips NamedTuple's Python-level __new__
-            outs = map(tuple.__new__, repeat(Outcome), zip(
-                won[idx].tolist(), delta[idx].tolist(),
-                map(stamps.__getitem__, t), map(keys.__getitem__, t),
-                voluntary[idx].tolist()))
-            for user, k in zip(users[first:first + step],
-                               counts[first:first + step]):
-                if k:
-                    timelines[user] = PlayerTimeline(user, size,
-                                                     tuple(islice(outs, k)))
-    return timelines
+
+        def read(rows: np.ndarray) -> tuple:
+            t = (rows // size).tolist()
+            return (won[rows].tolist(), delta[rows].tolist(),
+                    list(map(stamps.__getitem__, t)),
+                    list(map(keys.__getitem__, t)), voluntary[rows].tolist())
+        users, seen = _players(config), np.flatnonzero(counts).tolist()
+        return assemble_timelines([(size, users[i]) for i in seen],
+                                  counts[seen].tolist(), order, read)[size]

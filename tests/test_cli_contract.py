@@ -47,9 +47,14 @@ def log_path(tmp_path_factory):
     return str(path)
 
 
-def _analyze(log, out, *flags):
-    return ["analyze", log, "--game", "poker", "--table-size", "2",
-            "--min-games", "10", "--out", out, *flags]
+def _analyze(log, out, *flags, more_logs=()):
+    return ["analyze", log, *more_logs, "--game", "poker", "--table-size",
+            "2", "--min-games", "10", "--out", out, *flags]
+
+
+def respelled(path):
+    """path with a "." component: another spelling of the same file."""
+    return os.path.join(os.path.dirname(path), ".", os.path.basename(path))
 
 
 # (id, bytes written to IN or None, argv builder, exit code, what the error
@@ -86,6 +91,13 @@ CASES = [
     ("analyze-oversized-field", oversized_field(BASE_LOG, 3),
      lambda p: _analyze(p["IN"], p["OUT"]),
      EXIT_DATA, "IN"),
+    ("analyze-same-log-twice", None,
+     lambda p: _analyze(p["LOG"], p["OUT"], more_logs=[p["LOG"]]),
+     EXIT_USAGE, "LOG"),
+    # not UTF-8, so the code is 3 if the log is read before the check
+    ("analyze-one-log-two-spellings", non_utf8(BASE_LOG, 300),
+     lambda p: _analyze(p["IN"], p["OUT"], more_logs=[respelled(p["IN"])]),
+     EXIT_USAGE, "IN"),
     ("config-list", b"[1]",
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
      EXIT_DATA, "IN"),

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,7 @@ from cardskill.records import (
     validate_poker_record,
     validate_rummy_record,
 )
-from cardskill.simgen import SimConfig, simulate
+from cardskill.simgen import SimConfig, simulate, simulate_timelines
 
 from helpers import POKER_ROW, RUMMY_ROW, poker_outcome, rummy_outcome
 
@@ -110,6 +111,30 @@ class TestParseRummy:
         with pytest.raises(HeaderMismatch) as exc:
             parse_rummy_log(data)
         assert "deal_id" in str(exc.value)
+
+
+@pytest.mark.parametrize("parse,data,header_ok", [
+    (parse_poker_log, poker_csv([POKER_ROW] * 2), True),
+    (parse_rummy_log, rummy_csv([RUMMY_ROW]), True),
+    (parse_poker_log, b"user_id,game_id\nu1,g1\n", False),
+    (parse_rummy_log, b"user_id,deal_id\nu1,d1\n", False),
+], ids=["poker", "rummy", "poker-header-mismatch", "rummy-header-mismatch"])
+@pytest.mark.parametrize("opener", ["file", "bytesio"])
+def test_parse_leaves_the_stream_open(tmp_path, parse, data, header_ok,
+                                      opener):
+    """The caller's stream stays open and can be read again, whether the
+    parse returns or raises HeaderMismatch."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(data)
+    with (open(path, "rb") if opener == "file" else io.BytesIO(data)) as f:
+        if header_ok:
+            parse(f)
+        else:
+            with pytest.raises(HeaderMismatch):
+                parse(f)
+        assert not f.closed
+        f.seek(0)
+        assert f.read() == data
 
 
 def test_rows_read_as_the_validator_records():
@@ -514,3 +539,43 @@ def test_error_samples_hold_no_traceback():
     for sample in stats.first_error_samples:
         assert sample.error.__traceback__ is None
         assert sample.error.__context__ is None
+
+
+def test_assemble_reads_outcome_block_rows_at_a_time():
+    """OUTCOME_BLOCK is read when the timelines are built."""
+    sizes = []
+
+    def read(rows):
+        sizes.append(len(rows))
+        return [[True] * len(rows), rows.tolist(), rows.tolist(),
+                ["g"] * len(rows), [None] * len(rows)]
+    with mock.patch.object(ingest, "OUTCOME_BLOCK", 5):
+        timelines = ingest.assemble_timelines(
+            [(2, "a"), (2, "b")], [7, 5], np.arange(12)[::-1].copy(), read)
+    assert sizes == [5, 5, 2]
+    assert [o.value_delta for o in timelines[2]["b"].outcomes] == \
+        [4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("config", [
+    SimConfig(game="poker", table_size=2, n_players=30, games_per_player=12,
+              mode="skill", skill_sd=0.5, min_games_per_player=5,
+              stagger_starts=True, seed=31),
+    SimConfig(game="rummy", table_size=6, n_players=36, games_per_player=10,
+              stagger_starts=True, seed=32),
+], ids=["poker-2", "rummy-6"])
+def test_outcome_blocks_split_anywhere(block, config):
+    """With OUTCOME_BLOCK 1 or 5, a block boundary falls inside and between
+    timelines; build_timelines and simulate_timelines still give, player by
+    player, the reference's timelines of the simulated log."""
+    data, _ = simulate(config)
+    parse = parse_poker_log if config.game == "poker" else parse_rummy_log
+    rows, _ = parse(data)
+    expected = {u: repr(tl) for u, tl in
+                _reference_timelines(list(rows))[config.table_size].items()}
+    with mock.patch.object(ingest, "OUTCOME_BLOCK", block):
+        built = build_timelines(rows)[config.table_size]
+        direct = simulate_timelines(config)
+    assert {u: repr(tl) for u, tl in built.items()} == expected
+    assert {u: repr(tl) for u, tl in direct.items()} == expected

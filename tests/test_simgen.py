@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -161,6 +162,26 @@ RUMMY_3_SKILL = SimConfig(
 def test_simulate_bytes_pinned(cfg, digest):
     data, _ = simulate(cfg)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(game="poker", table_size=2, n_players=1000, games_per_player=50,
+              mode="skill", skill_sd=0.8, seed=3),
+    SimConfig(game="rummy", table_size=3, n_players=600, games_per_player=60,
+              seed=3),
+], ids=["poker", "rummy"])
+def test_simulate_holds_the_log_once(cfg):
+    """The log is encoded as it is written, so the tracemalloc peak stays
+    near the size of the bytes returned, not twice it."""
+    simulate(SimConfig(n_players=4, games_per_player=2))  # one-off imports
+    tracemalloc.start()
+    try:
+        data, _ = simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 4_000_000
+    assert peak <= 1.3 * len(data)
 
 
 @pytest.mark.parametrize("cfg", [
