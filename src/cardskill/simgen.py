@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
@@ -326,21 +327,24 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     skills, quotas, offsets = _planted(config)
     record = RECORDS[config.game]
     texts = [text for _, _, _, text in FIELDS[record]]
-    out = io.BytesIO()
-
-    def write(rows) -> None:
-        # Each round is encoded as soon as it is written: the log is held
-        # once.
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        out.write(buf.getvalue().encode("utf-8"))
-    write([record._fields])
-    for seated, rec in _rounds(config, skills, quotas, offsets):
-        write(zip(*(
-            map(text, value.tolist()) if isinstance(value, np.ndarray)
-            else repeat(text(value), seated.size)
-            for text, value in zip(texts, rec))))
-    return out.getvalue(), _truth(config, skills, quotas)
+    # The log is spooled to an unnamed temporary file as each round is
+    # encoded and read back in one read of its exact size: it is held once,
+    # and no buffer grows by reallocation, whose holes would leave the
+    # caller's peak RSS to depend on where the allocator placed them.
+    with tempfile.TemporaryFile() as out:
+        def write(rows) -> None:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            out.write(buf.getvalue().encode("utf-8"))
+        write([record._fields])
+        for seated, rec in _rounds(config, skills, quotas, offsets):
+            write(zip(*(
+                map(text, value.tolist()) if isinstance(value, np.ndarray)
+                else repeat(text(value), seated.size)
+                for text, value in zip(texts, rec))))
+        out.seek(0)
+        data = out.read()
+    return data, _truth(config, skills, quotas)
 
 
 def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
