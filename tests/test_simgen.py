@@ -222,6 +222,45 @@ def test_simulated_timelines_match_csv_path(cfg):
             assert type(o.voluntary_entry) is flag
 
 
+@pytest.mark.parametrize("cfg, digest", [
+    (SimConfig(game="poker", table_size=2, n_players=40, games_per_player=30,
+               min_games_per_player=8, seed=31),
+     "458ed80e23c68da156e069d5bb22f36110d51d186e7f0f17385ad6fee390fd47"),
+    (SimConfig(game="rummy", table_size=3, n_players=30, games_per_player=20,
+               stagger_starts=True, seed=32),
+     "0d91cb2bf66d79713f2167741794cf3626c0888f4a1501ee0135a517d9503c2a"),
+    (POKER_6_SKILL,
+     "ea2b36fd1d4f8c0c79cf1aa64746a1fc93f5ddf67211de3a6c3468e428831c4e"),
+], ids=["poker-2-chance-quotas", "rummy-3-stagger", "poker-6-skill"])
+def test_simulate_timelines_pinned(cfg, digest):
+    """The users and timeline reprs, in dict order, pinned by sha256."""
+    h = hashlib.sha256()
+    for user, tl in simulate_timelines(cfg).items():
+        h.update(user.encode())
+        h.update(repr(tl).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(game="poker", table_size=2, n_players=2000, games_per_player=50,
+              min_games_per_player=30, seed=3),
+    SimConfig(game="rummy", table_size=6, n_players=600, games_per_player=60,
+              seed=3),
+], ids=["poker-2", "rummy-6"])
+def test_simulate_timelines_peak_memory_is_its_result(cfg):
+    """The working columns stay small beside the timelines returned, so the
+    tracemalloc peak stays near what the result keeps."""
+    simulate_timelines(SimConfig(n_players=4, games_per_player=2))  # imports
+    tracemalloc.start()
+    try:
+        timelines = simulate_timelines(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(timelines) == cfg.n_players
+    assert peak <= 1.3 * kept
+
+
 class TestConfigInvalid:
     def test_chance_with_skill_sd(self):
         with pytest.raises(ConfigInvalid):
