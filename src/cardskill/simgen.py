@@ -277,6 +277,8 @@ def _rounds(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
     gw = max(5, len(str(config.games_per_player * 2)))
     played = np.zeros(config.n_players, dtype=int)
     users = np.array(_players(config), dtype=object)
+    tables = np.array([f"{t:05d}" for t in range(config.n_players // size)],
+                      dtype=object)
 
     for r in range(total_rounds):
         active = np.nonzero((offsets <= r) & (played < quotas))[0]
@@ -292,9 +294,7 @@ def _rounds(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
         is_winner[np.arange(n_tables), np.argmax(eff + gumbel, axis=1)] = True
         user, start = users[seated.ravel()], BASE_START + r * step
         end = start + GAME_DURATION_MS
-        prefix = f"g{r:0{gw}d}t"
-        game = np.array([f"{prefix}{t:05d}" for t in range(n_tables)],
-                        dtype=object)
+        game = f"g{r:0{gw}d}t" + tables[:n_tables]
         if config.game == POKER:
             frac = exp_before / np.maximum(quotas[seated] - 1, 1)
             vpip = VPIP_START + (VPIP_END - VPIP_START) * frac
@@ -353,32 +353,43 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     Equal, in repr too, to the config's table-size bucket of
     build_timelines(parse_*_log(simulate(config))[0]) at a fraction of the
     cost; used for large validation cohorts. Each round's outcome columns
-    come from records.TIMELINE. They fill flat columns, ordered player-major
-    by one stable argsort, from which ingest.assemble_timelines builds the
-    timelines. The cyclic collector is paused meanwhile.
+    come from records.TIMELINE. They fill flat columns, from which
+    ingest.assemble_timelines builds the timelines; a player sits at most
+    one table a round, so each player's k-th row is their k-th game, and a
+    second pass over the rounds' seats writes the player-major row order.
+    The cyclic collector is paused meanwhile.
     """
     size = config.table_size
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
     with gc_paused():
         skills, quotas, offsets = _planted(config)
-        seats, cols, keys, stamps = [], [], [], []
+        seats, cols, keys, starts = [], [], [], []
         for seated, rec in _rounds(config, skills, quotas, offsets):
             won, delta, key, voluntary = outcome_columns(rec)
             seats.append(seated.ravel().astype(np.int32))
             cols.append((won, delta, voluntary))
-            keys.extend(key[::size].tolist())
-            stamps.extend(repeat(rec.game_start, len(seated)))
-        seat = np.concatenate(seats)
-        order = np.argsort(seat, kind="stable")  # seat k is at table k // size
-        counts = np.bincount(seat, minlength=config.n_players)
+            keys.append(key[::size].copy())  # not a view that keeps key
+            starts.append(rec.game_start)
+        counts = np.bincount(np.concatenate(seats), minlength=config.n_players)
+        # one key and one stamp per table: row i is at table i // size
+        keys = np.concatenate(keys)
+        stamps = np.repeat(np.array(starts, dtype=object),
+                           [len(s) // size for s in seats])
         won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
-        del seats, cols, seat  # freed first, the outcomes reuse their memory
+        del cols
+        order = np.empty(len(won), dtype=np.intp)
+        at, row = np.cumsum(counts) - counts, 0  # each player's next place
+        for seat in seats:
+            order[at[seat]] = np.arange(row, row + len(seat))
+            at[seat] += 1
+            row += len(seat)
+        del seats
 
         def read(rows: np.ndarray) -> tuple:
-            t = (rows // size).tolist()
+            t = rows // size
             return (won[rows].tolist(), delta[rows].tolist(),
-                    list(map(stamps.__getitem__, t)),
-                    list(map(keys.__getitem__, t)), voluntary[rows].tolist())
+                    stamps[t].tolist(), keys[t].tolist(),
+                    voluntary[rows].tolist())
         users, seen = _players(config), np.flatnonzero(counts).tolist()
         return assemble_timelines([(size, users[i]) for i in seen],
                                   counts[seen].tolist(), order, read)[size]
