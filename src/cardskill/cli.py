@@ -192,6 +192,7 @@ def _load_json_object(path: str) -> dict:
 
 
 def cmd_ingest(args) -> int:
+    _distinct(args.paths)
     # Only the counts are printed, so no file's records outlive its parse.
     out = {path: _parse_file(path, args.game)[1].as_dict()
            for path in args.paths}

@@ -98,6 +98,12 @@ CASES = [
     ("analyze-one-log-two-spellings", non_utf8(BASE_LOG, 300),
      lambda p: _analyze(p["IN"], p["OUT"], more_logs=[respelled(p["IN"])]),
      EXIT_USAGE, "IN"),
+    ("ingest-same-log-twice", None,
+     lambda p: ["ingest", "--game", "poker", p["LOG"], p["LOG"]],
+     EXIT_USAGE, "LOG"),
+    ("ingest-one-log-two-spellings", non_utf8(BASE_LOG, 300),
+     lambda p: ["ingest", "--game", "poker", p["IN"], respelled(p["IN"])],
+     EXIT_USAGE, "IN"),
     ("config-list", b"[1]",
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
      EXIT_DATA, "IN"),
