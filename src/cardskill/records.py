@@ -188,6 +188,19 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
+def column_texts(text, column: np.ndarray) -> list:
+    """list(map(text, column.tolist())) for a field's text form. A float
+    column's integral values below 1e15 are converted to int64 at once;
+    _fmt writes the others."""
+    if text is not _fmt:
+        return list(map(text, column.tolist()))
+    whole = (column == np.trunc(column)) & (np.abs(column) < 1e15)
+    out = list(map(str, np.where(whole, column, 0).astype(np.int64).tolist()))
+    for i in np.flatnonzero(~whole).tolist():
+        out[i] = _fmt(column[i].item())
+    return out
+
+
 def _get(raw: Mapping[str, str], name: str) -> str:
     value = raw.get(name)
     if value is None or value == "":

@@ -39,6 +39,7 @@ from .records import (
     Record,
     RummyDealRecord,
     RummyGameType,
+    column_texts,
     gc_paused,
     parse_timestamp,
 )
@@ -339,7 +340,7 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
         write([record._fields])
         for seated, rec in _rounds(config, skills, quotas, offsets):
             write(zip(*(
-                map(text, value.tolist()) if isinstance(value, np.ndarray)
+                column_texts(text, value) if isinstance(value, np.ndarray)
                 else repeat(text(value), seated.size)
                 for text, value in zip(texts, rec))))
         out.seek(0)

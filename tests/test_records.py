@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,8 @@ from cardskill.records import (
     RecordError,
     FieldTypeError,
     WinnerContradiction,
+    _fmt,
+    column_texts,
     format_timestamp,
     parse_timestamp,
     validate_poker_record,
@@ -245,3 +248,10 @@ def test_validator_wording_is_pinned(validate, base, changes, error, message):
         validate(raw)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_float_column_texts_are_fmt():
+    values = [-0.0, 0.5, 1e15 - 1, 1e15, 2.0**53, 1e-7, 123456.5, -3.0,
+              -(1e15 - 1)]
+    assert column_texts(_fmt, np.array(values)) == list(map(_fmt, values))
+    assert column_texts(str, np.array([3, -4])) == ["3", "-4"]
