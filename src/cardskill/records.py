@@ -195,10 +195,10 @@ def column_texts(text, column: np.ndarray) -> list:
     if text is not _fmt:
         return list(map(text, column.tolist()))
     whole = (column == np.trunc(column)) & (np.abs(column) < 1e15)
-    out = list(map(str, np.where(whole, column, 0).astype(np.int64).tolist()))
-    for i in np.flatnonzero(~whole).tolist():
-        out[i] = _fmt(column[i].item())
-    return out
+    out = np.empty(len(column), dtype=object)
+    out[whole] = list(map(str, column[whole].astype(np.int64).tolist()))
+    out[~whole] = list(map(_fmt, column[~whole].tolist()))
+    return out.tolist()
 
 
 def _get(raw: Mapping[str, str], name: str) -> str:
