@@ -34,7 +34,12 @@ def test_summary_counts_pairs_the_change_read_better():
 
 
 def test_summary_skips_a_workload_without_a_finished_pair():
-    assert bench_pairs.summarize([_run(0, "parent", 1.0, 1)], METRICS) == {}
+    runs = [_run(0, "parent", 1.0, 1)]
+    assert bench_pairs.summarize(runs, METRICS) == {}
+    runs.append(_run(0, "change", 0.5, 2))
+    wall = bench_pairs.summarize(runs, METRICS)["w"]["wall_s"]
+    assert wall["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert wall["change_better_pairs"] == 1
 
 
 def test_too_few_pairs_is_refused(tmp_path):

@@ -48,6 +48,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(values: List[float]) -> dict:
+    if len(values) == 1:
+        return dict.fromkeys(("median", "q1", "q3"), values[0])
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
