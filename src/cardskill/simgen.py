@@ -377,7 +377,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
         stamps = np.repeat(np.array(starts, dtype=object),
                            [len(s) // size for s in seats])
         won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
-        del cols
+        del cols  # freed first, the outcomes reuse their memory
         order = np.empty(len(won), dtype=np.intp)
         at, row = np.cumsum(counts) - counts, 0  # each player's next place
         for seat in seats:

@@ -1,8 +1,6 @@
 import importlib.util
 import os
 
-import pytest
-
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -41,9 +39,3 @@ def test_summary_skips_a_workload_without_a_finished_pair():
     assert wall["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert wall["change_better_pairs"] == 1
 
-
-def test_too_few_pairs_is_refused(tmp_path):
-    with pytest.raises(SystemExit):
-        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w",
-                          "--seed", "1", "--pairs", "1",
-                          "--out", str(tmp_path / "b.json")])

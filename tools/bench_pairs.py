@@ -1,19 +1,20 @@
 """Paired benchmark runs of two cardskill checkouts, written as a BENCH file.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \\
-        --workload poker-hu-clean --workload battery-chance-20k \\
-        --seed 23 --pairs 10 --out BENCH_N.json --what "..."
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --seed 23 \\
+        --pairs 10 --out BENCH_N.json --what "..."
 
-For each workload in turn, runs ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` in PARENT_DIR and in CHANGE_DIR, ``--pairs`` times
-each, swapping which side goes first every pair (the parent first in pair
-0). Every run's ``record`` line is kept with its side, run order and pair
-index. The summary gives, for each end-to-end metric that ``BENCHMARK.json``
-in CHANGE_DIR lists, the median and quartiles (inclusive method) of each
-side's runs and the number of pairs in which the change read better. The
-file is rewritten after every run, so an interrupted session keeps the runs
-it finished. A run that exits non-zero or prints no record line stops the
-script with exit 1.
+For each workload in turn (``--workload W``, repeatable; by default every
+workload of ``BENCHMARK.json`` in CHANGE_DIR), runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` in PARENT_DIR and in
+CHANGE_DIR, ``--pairs`` times each, swapping which side goes first every
+pair (the parent first in pair 0); T is ``BENCHMARK.json``'s
+``run_seconds``. Every run's ``record`` line is kept with its side, run
+order and pair index. The summary gives, for each end-to-end metric that
+``BENCHMARK.json`` lists, the median and quartiles (inclusive method) of
+each side's runs and the number of pairs in which the change read better.
+The file is rewritten after every run, so an interruption loses only the
+run in progress. A run that exits non-zero or prints no record line stops
+the script with exit 1.
 """
 
 from __future__ import annotations
@@ -91,11 +92,10 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
     p.add_argument("change_dir")
-    p.add_argument("--workload", action="append", required=True,
+    p.add_argument("--workload", action="append",
                    help="a perfbench workload; repeat for several")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", required=True, help="the BENCH JSON to write")
     p.add_argument("--what", default="", help="what the runs compare")
     return p
@@ -103,24 +103,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.pairs < 2:
-        raise SystemExit("error: --pairs must be at least 2")
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    seconds = bench["run_seconds"]
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
-    doc = {"what": args.what, "command": COMMAND.replace(
-               "<seconds>", f"{args.seconds:g}"),
+    doc = {"what": args.what,
+           "command": COMMAND.replace("<seconds>", f"{seconds:g}"),
            "host": host(), "summary": {}, "runs": []}
-    for workload in args.workload:
+    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                record = run_once(dirs[side], workload, args.seed,
-                                  args.seconds)
+                record = run_once(dirs[side], workload, args.seed, seconds)
                 doc["runs"].append({
                     "workload": workload, "seed": args.seed, "side": side,
                     "trace": 0, "order": len(doc["runs"]), "pair": pair,
                     "record": record})
-                doc["summary"] = summarize(doc["runs"], metrics)
+                doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
                 tmp = args.out + ".tmp"
                 with open(tmp, "w") as f:
                     json.dump(doc, f, indent=1)
