@@ -5,16 +5,17 @@ no CR, no line over csv.field_size_limit(), one comma fewer than the header
 has columns on every line) is split with one str.split(","); from the first
 chunk that is not plain, csv.reader reads the rest in chunks of CHUNK_ROWS
 records. Either way the chunk's column table is converted a column at a
-time: one map() per column, a dict lookup for enums and 0/1 flags, one
-parse per distinct timestamp text. records.INVARIANTS is then tested over
-the chunk's columns as one mask. A row that the column pass or the mask
-rejects goes to the row validator (records.validate_*), which alone
-decides it and words its error, so the rows, counts and messages are those
-of a row-by-row parse. The accepted rows are returned as columns (Rows),
-with no object per row; memory still grows with the log. Rows failing
-validation are counted and sampled (first 20 structured errors with line
-numbers), never fatal. Only a bad header, text that is not UTF-8 or a field
-longer than csv.field_size_limit() (csv.Error) aborts a parse.
+time, each into a numpy array: one map() per column, a dict lookup for
+enums and 0/1 flags, one parse per distinct timestamp text.
+records.INVARIANTS is then tested over the chunk's columns as one mask. A
+row that the column pass or the mask rejects goes to the row validator
+(records.validate_*), which alone decides it and words its error, so the
+rows, counts and messages are those of a row-by-row parse. The accepted
+rows are returned as numpy columns (Rows), with no record per row; memory
+still grows with the log. Rows failing validation are counted and sampled
+(first 20 structured errors with line numbers), never fatal. Only a bad
+header, text that is not UTF-8 or a field longer than
+csv.field_size_limit() (csv.Error) aborts a parse.
 
 build_timelines codes the players, sorts all rows at once by player and
 game_start, orders tied rows by their type's fields in records.TIMELINE and
@@ -104,10 +105,11 @@ class IngestStats:
 CHUNK_ROWS = 8192
 
 
-def _mapped(parse, dtype=None) -> Callable:
+def _mapped(parse, dtype=object) -> Callable:
     """A column converter: parse over the column in one map() call or, if
     some text fails, text by text, with each failing row put in bad and 0 in
-    its place. With a dtype the column is a numpy array, else a list."""
+    its place. The column is an array of dtype, or of objects if an int
+    does not fit it."""
     def convert(texts, bad: Set[int]):
         try:
             values = list(map(parse, texts))
@@ -119,14 +121,17 @@ def _mapped(parse, dtype=None) -> Callable:
                 except (ValueError, KeyError):
                     values.append(0)
                     bad.add(i)
-        return values if dtype is None else np.array(values, dtype)
+        try:
+            return np.fromiter(values, dtype, len(values))
+        except OverflowError:
+            return np.fromiter(values, object, len(values))
     return convert
 
 
-def _texts(texts, bad: Set[int]) -> list:
+def _texts(texts, bad: Set[int]) -> np.ndarray:
     if not all(texts):
         bad.update(i for i, text in enumerate(texts) if not text)
-    return list(texts)
+    return np.fromiter(texts, object, len(texts))
 
 
 def _finite_float(text: str) -> float:
@@ -148,7 +153,7 @@ def _floats(texts, bad: Set[int]) -> np.ndarray:
     return _mapped(_finite_float, float)(texts, bad)
 
 
-def _timestamps(texts, bad: Set[int]) -> list:
+def _timestamps(texts, bad: Set[int]) -> np.ndarray:
     # Logs repeat their timestamps, so each distinct text is parsed once.
     memo = {}
     for text in set(texts):
@@ -166,18 +171,10 @@ def _lookup(enum_cls) -> Callable:
 # The column converter of each field kind; an Enum's is _lookup(kind). Each
 # takes exactly the texts that its field's row validator takes unchanged. A
 # text the validator would strip or reject sends its row to the validator.
-# The column types are those Rows holds.
-_CONVERTERS = {str: _texts, float: _floats, int: _mapped(int),
+# Each gives the array type that Rows holds for its kind.
+_CONVERTERS = {str: _texts, float: _floats, int: _mapped(int, np.int64),
                bool: _mapped({"1": True, "0": False}.__getitem__, bool),
                Millis: _timestamps}
-
-
-def _int_array(values: list) -> np.ndarray:
-    """values as int64, or as Python objects if one does not fit."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
 
 
 def _broken(columns: Record) -> np.ndarray:
@@ -188,26 +185,16 @@ def _broken(columns: Record) -> np.ndarray:
     return np.asarray(broken, bool)
 
 
-def _kept(column, keep: np.ndarray):
-    if isinstance(column, np.ndarray):
-        return column[keep]
-    return list(itertools.compress(column, keep.tolist()))
-
-
-def _joined(pieces: list):
-    if len(pieces) == 1:
-        return pieces[0]
-    if isinstance(pieces[0], np.ndarray):
-        return np.concatenate(pieces)
-    return list(itertools.chain.from_iterable(pieces))
+def _joined(pieces: List[np.ndarray]) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 class Rows:
     """One record type's accepted rows as columns, in log order: columns is
-    a record whose fields are numpy arrays (float and bool fields) or lists
-    (str and Enum fields; int fields, as an int may exceed int64; Millis
-    fields, whose ints the rows of a chunk with one timestamp text share,
-    as do the outcomes built from them).
+    a record whose fields are numpy arrays. float and bool fields are of
+    their own dtype and int fields int64, or objects if an int does not fit.
+    str, Enum and Millis fields hold objects; the rows of a chunk with one
+    timestamp text share its int, as do the outcomes built from them.
 
     len(), iteration and indexing give the records that the row validator
     gives, with the same field types.
@@ -222,12 +209,10 @@ class Rows:
         return len(self.columns[0])
 
     def __iter__(self) -> Iterator[Record]:
-        return map(self.record, *(c.tolist() if isinstance(c, np.ndarray)
-                                  else c for c in self.columns))
+        return map(self.record, *(c.tolist() for c in self.columns))
 
     def __getitem__(self, i: int) -> Record:
-        return self.record._make(c[i].item() if isinstance(c, np.ndarray)
-                                 else c[i] for c in self.columns)
+        return self.record._make(c.item(i) for c in self.columns)
 
 
 class _Joined:
@@ -278,9 +263,6 @@ def _parse_text(text, record: type,
     width = max(index.values()) + 1
     converters = [(index[name], _CONVERTERS.get(kind) or _lookup(kind))
                   for name, kind, _, _ in FIELDS[record]]
-    # int and Millis columns are lists; the invariant mask reads them as
-    # arrays.
-    ints = [kind in (int, Millis) for _, kind, _, _ in FIELDS[record]]
 
     stats = IngestStats()
     # Each column's accepted pieces, from an empty one of its type on.
@@ -313,8 +295,7 @@ def _parse_text(text, record: type,
 
         bad: Set[int] = set()
         columns = [convert(table[j], bad) for j, convert in converters]
-        flagged = _broken(record._make(
-            _int_array(c) if is_int else c for c, is_int in zip(columns, ints)))
+        flagged = _broken(record._make(columns))
         flagged[list(bad)] = True
         keep = ~flagged
         # The row validator decides every row the column pass did not
@@ -330,7 +311,7 @@ def _parse_text(text, record: type,
             keep[i] = True
         all_kept = keep.all()
         for piece, column in zip(pieces, columns):
-            piece.append(column if all_kept else _kept(column, keep))
+            piece.append(column if all_kept else column[keep])
     out = Rows(record, record._make(map(_joined, pieces)))
     stats.rows_accepted = len(out)
     return out, stats
@@ -367,10 +348,11 @@ def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
     """The (bucket, user_id) pairs of cols in order of first appearance,
     the number of rows of each, and the order of the rows: by pair, then by
     game_start and then by the fields named in ties, stably."""
-    sizes, size = _coded(cols.max_players)
+    # Coded from lists, so that a table size is a Python int, not np.int64.
+    sizes, size = _coded(cols.max_players.tolist())
     buckets, bucket = _coded([s if s in TABLE_SIZE_BUCKETS else OTHER_BUCKET
                               for s in sizes])
-    users, user = _coded(cols.user_id)
+    users, user = _coded(cols.user_id.tolist())
     pairs, code = _coded((bucket[size] * len(users) + user).tolist())
 
     start = np.array(cols.game_start, np.int64)
@@ -428,9 +410,7 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     columns = (won, delta, cols.game_start, key, voluntary)
 
     def read(rows: np.ndarray) -> list:
-        at = rows.tolist()
-        return [c[rows].tolist() if isinstance(c, np.ndarray)
-                else list(map(c.__getitem__, at)) for c in columns]
+        return [c[rows].tolist() for c in columns]
     return assemble_timelines(groups, counts, order, read)
 
 

@@ -113,9 +113,12 @@ class Segments(NamedTuple):
 
 
 class Metric(NamedTuple):
-    """A window metric, defined once as its reduction over Segments."""
+    """A window metric, defined once as its reduction over Segments.
+    polarity is +1 if larger is better (Improving when rising), -1 if
+    smaller is."""
 
     segments: Callable[[Segments], List[Optional[float]]]
+    polarity: int = +1
 
     def __call__(self, outcomes: Sequence[Outcome]) -> Optional[float]:
         """The metric over one window of outcomes."""
@@ -137,9 +140,9 @@ _bb_per_100 = Metric(lambda seg: [
     100.0 * s / n
     for s, n in zip(seg.sums(seg.column("value_delta")), seg.lengths())])
 _avg_points_lost_losing = Metric(
-    lambda seg: seg.mean_delta(-1, ~seg.column("won")))
+    lambda seg: seg.mean_delta(-1, ~seg.column("won")), polarity=-1)
 _avg_win_magnitude = Metric(lambda seg: seg.mean_delta(+1))
-_avg_loss_magnitude = Metric(lambda seg: seg.mean_delta(-1))
+_avg_loss_magnitude = Metric(lambda seg: seg.mean_delta(-1), polarity=-1)
 _net_positive = Metric(lambda seg: [
     1.0 if s > 0 else 0.0 for s in seg.sums(seg.column("value_delta"))])
 
@@ -150,16 +153,6 @@ METRICS: Dict[str, Metric] = {
     "avg_blind_lost": _avg_loss_magnitude,
     "tightness": _tightness,
     "net_positive_share": _net_positive,
-}
-
-# +1: larger is better (Improving when rising); -1: smaller is better.
-METRIC_POLARITY: Dict[str, int] = {
-    "win_rate": +1,
-    "bb_per_100": +1,
-    "avg_points_lost_losing": -1,
-    "avg_blind_lost": -1,
-    "tightness": +1,
-    "net_positive_share": +1,
 }
 
 

@@ -24,7 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Tuple, get_type_hints
+from typing import Dict, Iterator, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -256,19 +256,22 @@ def _truth(config: SimConfig, skills: np.ndarray,
     )
 
 
-def _players(config: SimConfig) -> List[str]:
-    """The user ids, of one width, so their text order is their index order."""
+def _players(config: SimConfig) -> np.ndarray:
+    """The user ids as objects, of one width, so their text order is their
+    index order."""
     pw = max(5, len(str(config.n_players)))
-    return [f"p{i:0{pw}d}" for i in range(config.n_players)]
+    return np.array([f"p{i:0{pw}d}" for i in range(config.n_players)],
+                    dtype=object)
 
 
-def _rounds(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
+def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
+            quotas: np.ndarray,
             offsets: np.ndarray) -> Iterator[Tuple[np.ndarray, Record]]:
-    """The matchmaking/game loop of simulate and simulate_timelines. Each
-    round is (seated players (tables, size), rec): a record of the game's
-    type whose fields are the round's columns in seated.ravel() order, as
-    numpy arrays (of objects for str fields), or a plain value that every
-    row shares."""
+    """The matchmaking/game loop of simulate and simulate_timelines, with
+    users from _players(config). Each round is (seated players (tables,
+    size), rec): a record of the game's type whose fields are the round's
+    columns in seated.ravel() order, as numpy arrays (of objects for str
+    fields), or a plain value that every row shares."""
     size = config.table_size
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed).spawn(1)[0]
@@ -277,7 +280,6 @@ def _rounds(config: SimConfig, skills: np.ndarray, quotas: np.ndarray,
     step = max(SPAN_MS // max(total_rounds, 1), 1)
     gw = max(5, len(str(config.games_per_player * 2)))
     played = np.zeros(config.n_players, dtype=int)
-    users = np.array(_players(config), dtype=object)
     tables = np.array([f"{t:05d}" for t in range(config.n_players // size)],
                       dtype=object)
 
@@ -338,7 +340,8 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
             csv.writer(buf, lineterminator="\n").writerows(rows)
             out.write(buf.getvalue().encode("utf-8"))
         write([record._fields])
-        for seated, rec in _rounds(config, skills, quotas, offsets):
+        for seated, rec in _rounds(config, _players(config), skills, quotas,
+                                   offsets):
             write(zip(*(
                 column_texts(text, value) if isinstance(value, np.ndarray)
                 else repeat(text(value), seated.size)
@@ -364,8 +367,9 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
     with gc_paused():
         skills, quotas, offsets = _planted(config)
+        users = _players(config)
         seats, cols, keys, starts = [], [], [], []
-        for seated, rec in _rounds(config, skills, quotas, offsets):
+        for seated, rec in _rounds(config, users, skills, quotas, offsets):
             won, delta, key, voluntary = outcome_columns(rec)
             seats.append(seated.ravel().astype(np.int32))
             cols.append((won, delta, voluntary))
@@ -391,6 +395,6 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             return (won[rows].tolist(), delta[rows].tolist(),
                     stamps[t].tolist(), keys[t].tolist(),
                     voluntary[rows].tolist())
-        users, seen = _players(config), np.flatnonzero(counts).tolist()
+        seen = np.flatnonzero(counts).tolist()
         return assemble_timelines([(size, users[i]) for i in seen],
                                   counts[seen].tolist(), order, read)[size]

@@ -19,7 +19,6 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 import numpy as np
 
 from .metrics import (
-    METRIC_POLARITY,
     METRICS,
     Segments,
     column,
@@ -481,7 +480,6 @@ def learning_curve_test(
     y_last = float(model(np.array([xs[-1]]), best.a, best.b, best.alpha)[0])
     scale = max(abs(sum(ys) / len(ys)), 1e-12)
     rel_change = (y_last - y_first) / scale
-    polarity = METRIC_POLARITY.get(metric, +1)
     # A constant model beating the curve on AIC means the apparent trend is
     # noise, regardless of the fitted endpoints.
     y_arr = np.asarray(ys)
@@ -489,7 +487,7 @@ def learning_curve_test(
     const_wins = _aic(const_sse, len(ys), k=1) <= best.aic
     if const_wins or abs(rel_change) < trend_epsilon:
         trend = FLAT
-    elif rel_change * polarity > 0:
+    elif rel_change * metric_fn.polarity > 0:
         trend = IMPROVING
     else:
         trend = WORSENING

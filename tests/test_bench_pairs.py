@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -39,3 +41,14 @@ def test_summary_skips_a_workload_without_a_finished_pair():
     assert wall["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert wall["change_better_pairs"] == 1
 
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_exits_2(tmp_path, capsys, pairs):
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                          "--seed", "1", "--pairs", pairs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+    assert not out.exists()

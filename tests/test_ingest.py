@@ -19,8 +19,10 @@ from cardskill.ingest import (
     parse_rummy_log,
 )
 from cardskill.records import (
+    FIELDS,
     POKER_COLUMNS,
     RUMMY_COLUMNS,
+    Millis,
     PlayerTimeline,
     PokerHandRecord,
     RecordError,
@@ -151,6 +153,59 @@ def test_rows_read_as_the_validator_records():
     assert [repr(rows[i]) for i in (0, 1, 2, -1)] == \
         [repr(r) for r in expect + expect[-1:]]
     assert len(build_timelines(rows)["other"]["u1"]) == 1
+
+
+# The dtype of each field kind's Rows column; an Enum's is object.
+_COLUMN_DTYPES = {str: object, float: np.float64, bool: np.bool_,
+                  int: np.int64, Millis: object}
+
+
+@pytest.mark.parametrize("parse,log,base", [
+    (parse_poker_log, poker_csv, POKER_ROW),
+    (parse_rummy_log, rummy_csv, RUMMY_ROW),
+], ids=["poker", "rummy"])
+def test_every_column_is_an_array(parse, log, base):
+    rows, _ = parse(log([base, {**base, "max_players": "x"}, base]))
+    assert len(rows) == 2
+    for (name, kind, _, _), column in zip(FIELDS[rows.record], rows.columns):
+        assert isinstance(column, np.ndarray), name
+        assert column.dtype == _COLUMN_DTYPES.get(kind, object), name
+
+
+def test_int_beyond_int64_in_a_later_chunk():
+    """Chunks 1 and 2 of 7 rows hold int64 columns, chunk 3 a max_players
+    beyond int64: the joined column holds Python ints in every chunk."""
+    texts = [{**POKER_ROW, "game_id": f"g{i}"} for i in range(20)]
+    texts[16]["max_players"] = str(2 ** 70)
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+        rows, stats = parse_poker_log(poker_csv(texts))
+    assert stats.rows_rejected == 0
+    assert rows.columns.max_players.dtype == object
+    assert list(rows) == [validate_poker_record(t) for t in texts]
+    ints = [name for name, kind, _, _ in FIELDS[PokerHandRecord]
+            if kind is int]
+    for rec in [*rows, *(rows[i] for i in range(len(rows)))]:
+        for name in ints:
+            assert type(getattr(rec, name)) is int, name
+    assert rows[16].max_players == 2 ** 70
+
+
+@pytest.mark.parametrize("game,table_size", [("poker", 2), ("rummy", 3)])
+def test_parse_peak_memory_is_bounded_by_its_result(game, table_size):
+    """The parse's tracemalloc peak stays within 3.2x of what the returned
+    Rows keeps: the chunks in flight, not the log, set the excess."""
+    data, _ = simulate(SimConfig(game=game, table_size=table_size,
+                                 n_players=210, games_per_player=100,
+                                 stagger_starts=True, seed=1))
+    parse = parse_poker_log if game == "poker" else parse_rummy_log
+    tracemalloc.start()
+    try:
+        rows, _ = parse(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) >= 20_900
+    assert peak <= 3.2 * kept
 
 
 def _poker_rows(user_id, n, start_hour=0):

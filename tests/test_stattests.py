@@ -382,7 +382,9 @@ class TestLearningCurve:
         res = learning_curve_test(timelines, bin_width=10)
         assert res.trend_direction == IMPROVING
 
-    def test_loss_metric_polarity(self):
+    @pytest.mark.parametrize("metric", ["avg_points_lost_losing",
+                                        "avg_blind_lost"])
+    def test_loss_metric_polarity(self, metric):
         # shrinking loss magnitudes should read as Improving
         rng = np.random.default_rng(4)
         timelines = {}
@@ -401,9 +403,7 @@ class TestLearningCurve:
                     for j, d in enumerate(deltas)
                 ),
             )
-        res = learning_curve_test(
-            timelines, metric="avg_points_lost_losing", bin_width=10
-        )
+        res = learning_curve_test(timelines, metric=metric, bin_width=10)
         assert res.trend_direction == IMPROVING
 
     def test_under_four_bins_raises_both_families(self):

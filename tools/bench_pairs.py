@@ -88,6 +88,13 @@ def host() -> str:
             f"numpy {numpy.__version__}, scipy {scipy.__version__}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_dir")
@@ -95,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", action="append",
                    help="a perfbench workload; repeat for several")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=_positive_int, default=10)
     p.add_argument("--out", required=True, help="the BENCH JSON to write")
     p.add_argument("--what", default="", help="what the runs compare")
     return p
