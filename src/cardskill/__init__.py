@@ -22,7 +22,6 @@ from .metrics import (  # noqa: F401
     bb_per_100,
     percentile_position,
     rank_average,
-    rummy_skill_variables,
     standardize,
     theoretical_quantile,
     tightness,

@@ -9,8 +9,9 @@ error that names the flags.
 Commands return 0 or raise. main() alone maps a raised error to an exit
 code through EXIT_CODES and prints one "error: ..." line to stderr:
 2, usage: a bad flag (argparse), --split-date not YYYY-MM, --config with a
-setting flag, an invalid simulator config value, named by its field, or one
-log file given to analyze twice, checked before any log is read;
+setting flag, an invalid simulator config value, named by its field, or, to
+analyze, --min-games above --max-games or one log file given twice, both
+checked before any log is read;
 3, data: a log that is unreadable, not UTF-8, badly headed or holds a field
 over the csv module's size limit, a thresholds or config file that is not a
 JSON object, a bad threshold key or value, a failed statistic, or an --out
@@ -223,6 +224,9 @@ def _distinct(paths: List[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.min_games > args.max_games:
+        raise UsageError(f"--min-games {args.min_games} is above --max-games "
+                         f"{args.max_games}")
     _distinct(args.paths)
     thresholds = _load_thresholds(args.thresholds)
     parts, stats_list = zip(*(_parse_file(path, args.game)

@@ -378,8 +378,8 @@ def assemble_timelines(groups: list, counts: list, order: np.ndarray,
                        read: Callable[[np.ndarray], tuple]) -> TimelineMap:
     """The timelines of groups, (bucket, user_id) pairs, in order: each
     takes the next of counts rows of order. read(rows) gives the outcome
-    columns (won, value_delta, timestamp, key, voluntary_entry) of an array
-    of rows as lists; it is called OUTCOME_BLOCK rows at a time."""
+    columns (won, value_delta, timestamp, voluntary_entry) of an array of
+    rows as lists; it is called OUTCOME_BLOCK rows at a time."""
     def block(first: int) -> Iterator[Outcome]:
         # tuple.__new__ skips NamedTuple's Python-level __new__
         return map(tuple.__new__, itertools.repeat(Outcome),
@@ -406,8 +406,8 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     cols = _Joined(parts)
     ties, outcome_columns = TIMELINE[record]
     groups, counts, order = _grouped(cols, ties)
-    won, delta, key, voluntary = outcome_columns(cols)
-    columns = (won, delta, cols.game_start, key, voluntary)
+    won, delta, voluntary = outcome_columns(cols)
+    columns = (won, delta, cols.game_start, voluntary)
 
     def read(rows: np.ndarray) -> list:
         return [c[rows].tolist() for c in columns]

@@ -3,8 +3,9 @@
 Covers the per-window metric registry (METRICS) that the statistical
 tests and the CLI compute every skill variable with, the per-player
 trajectories (cumulative win probability, binned blind amounts won/lost,
-tightness, BB/100), the rummy skill variables, and the quantile machinery (tie-averaged ranks, percentile positions,
-inverse normal CDF, standardization) that feeds the QQ normality test.
+tightness, BB/100), and the quantile machinery (tie-averaged ranks,
+percentile positions, inverse normal CDF, standardization) that feeds the
+QQ normality test.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -37,14 +38,6 @@ class EmptyWindow(MetricError):
 
 
 class MissingVoluntaryEntry(MetricError):
-    pass
-
-
-class NoLosingDeals(MetricError):
-    pass
-
-
-class NoWinningDeals(MetricError):
     pass
 
 
@@ -244,32 +237,6 @@ def tightness(
     if value is None:
         raise MissingVoluntaryEntry("timeline lacks voluntary_entry flags")
     return value
-
-
-def rummy_skill_variables(
-    timeline: PlayerTimeline,
-    opponents_view: Mapping[str, Sequence[float]],
-) -> Tuple[float, float, float]:
-    """(win_rate, avg_points_lost_losing, avg_points_lost_by_opponent).
-
-    opponents_view maps a deal key to the loss points conceded by the
-    player's opponents in that deal; only deals the player won contribute
-    to the opponent-side mean.
-    """
-    outcomes = _require_outcomes(timeline)
-    avg_lost = _avg_points_lost_losing(outcomes)
-    if avg_lost is None:
-        raise NoLosingDeals(f"player {timeline.user_id} has no losing deals")
-    opp_points: List[float] = []
-    for o in outcomes:
-        if o.won:
-            opp_points.extend(opponents_view.get(o.key, ()))
-    if not opp_points:
-        raise NoWinningDeals(
-            f"player {timeline.user_id} has no winning deals with opponent data"
-        )
-    avg_opp = sum(opp_points) / len(opp_points)
-    return _win_rate(outcomes), avg_lost, avg_opp
 
 
 def rank_average(values: Sequence[float]) -> List[float]:

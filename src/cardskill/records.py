@@ -148,13 +148,11 @@ class Outcome(NamedTuple):
 
     value_delta is in big blinds for poker (chips_won - chips_placed over
     big_blind) and in points for rummy (+winner_points or -loss_points).
-    key carries the game_id (poker) or deal_id (rummy) for joins.
     """
 
     won: bool
     value_delta: float
     timestamp: int
-    key: str
     voluntary_entry: Optional[bool] = None
 
 
@@ -354,22 +352,22 @@ def check_record(rec: Record) -> Record:
 
 def _poker_outcomes(r) -> tuple:
     delta = PokerHandRecord.value_delta_bb.fget(r)  # r need not be a record
-    return delta > 0, delta, r.game_id, r.voluntary_entry
+    return delta > 0, delta, r.voluntary_entry
 
 
 def _rummy_outcomes(r) -> tuple:
     delta = np.where(r.is_winner, np.array(r.winner_points, float),
                      -np.array(r.loss_points, float))
     # A column of None that takes no memory.
-    return r.is_winner, delta, r.deal_id, np.broadcast_to(None, len(delta))
+    return r.is_winner, delta, np.broadcast_to(None, len(delta))
 
 
 Record = Union[PokerHandRecord, RummyDealRecord]
 
 # Each record type's timeline: the fields after game_start that order it, and
-# its outcome columns (won, value_delta, key, voluntary_entry), computed from
-# any object whose attributes are the type's fields as columns. Outcome
-# documents the values.
+# its outcome columns (won, value_delta, voluntary_entry), computed from any
+# object whose attributes are the type's fields as columns. Outcome documents
+# the values.
 TIMELINE = {
     PokerHandRecord: (("game_id",), _poker_outcomes),
     RummyDealRecord: (("game_id", "deal_number"), _rummy_outcomes),

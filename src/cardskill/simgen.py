@@ -368,16 +368,13 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     with gc_paused():
         skills, quotas, offsets = _planted(config)
         users = _players(config)
-        seats, cols, keys, starts = [], [], [], []
+        seats, cols, starts = [], [], []
         for seated, rec in _rounds(config, users, skills, quotas, offsets):
-            won, delta, key, voluntary = outcome_columns(rec)
             seats.append(seated.ravel().astype(np.int32))
-            cols.append((won, delta, voluntary))
-            keys.append(key[::size].copy())  # not a view that keeps key
+            cols.append(outcome_columns(rec))
             starts.append(rec.game_start)
         counts = np.bincount(np.concatenate(seats), minlength=config.n_players)
-        # one key and one stamp per table: row i is at table i // size
-        keys = np.concatenate(keys)
+        # one stamp per table: row i is at table i // size
         stamps = np.repeat(np.array(starts, dtype=object),
                            [len(s) // size for s in seats])
         won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
@@ -393,8 +390,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
         def read(rows: np.ndarray) -> tuple:
             t = rows // size
             return (won[rows].tolist(), delta[rows].tolist(),
-                    stamps[t].tolist(), keys[t].tolist(),
-                    voluntary[rows].tolist())
+                    stamps[t].tolist(), voluntary[rows].tolist())
         seen = np.flatnonzero(counts).tolist()
         return assemble_timelines([(size, users[i]) for i in seen],
                                   counts[seen].tolist(), order, read)[size]

@@ -299,6 +299,7 @@ def persistence_test(
     split_ms = resolve_split(timelines, split)
 
     pairs: List[Tuple[str, float, float]] = []
+    enough = 0  # players with min_games in both periods
     spans = []  # per block: first and last stamp of its pairs in A, then B
     for users, bounds, flat in _blocks(timelines):
         ts = column(flat, "timestamp")
@@ -311,6 +312,7 @@ def persistence_test(
         mid = bounds[1:] - np.bincount(player[in_b], minlength=len(users))
         q = np.nonzero((mid - bounds[:-1] >= min_games)
                        & (bounds[1:] - mid >= min_games))[0]
+        enough += len(q)
         values = metric_fn.segments(Segments(
             flat, np.concatenate((bounds[q], mid[q])),
             np.concatenate((mid[q], bounds[q + 1])), order))
@@ -325,8 +327,9 @@ def persistence_test(
 
     if len(pairs) < 3:
         raise InsufficientPlayers(
-            f"only {len(pairs)} players qualify with >= {min_games} games "
-            f"in both periods"
+            f"only {len(pairs)} players qualify: {enough} have >= "
+            f"{min_games} games in both periods, and {enough - len(pairs)} "
+            f"of those have {metric} undefined in a period"
         )
     xs = np.array([p[1] for p in pairs])
     ys = np.array([p[2] for p in pairs])

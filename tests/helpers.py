@@ -16,7 +16,6 @@ def poker_timeline(deltas, user_id="u1", voluntary=None, start=0, step=HOUR_MS):
             won=d > 0,
             value_delta=float(d),
             timestamp=start + i * step,
-            key=f"g{i:04d}",
             voluntary_entry=v,
         )
         for i, (d, v) in enumerate(zip(deltas, voluntary))
@@ -31,7 +30,6 @@ def rummy_timeline(points, user_id="u1", start=0, step=HOUR_MS):
             won=p > 0,
             value_delta=float(p),
             timestamp=start + i * step,
-            key=f"d{i:04d}",
         )
         for i, p in enumerate(points)
     )
@@ -153,8 +151,7 @@ def outcome_runs(stamps=None, max_size=12, min_size=0):
         flags = draw(st.sampled_from([st.booleans(), st.none(),
                                       st.one_of(st.booleans(), st.none())]))
         outcome = st.builds(Outcome, won=st.booleans(), value_delta=deltas,
-                            timestamp=stamps, key=st.just("g"),
-                            voluntary_entry=flags)
+                            timestamp=stamps, voluntary_entry=flags)
         return draw(st.lists(outcome, min_size=min_size, max_size=max_size))
 
     return runs()
@@ -165,10 +162,9 @@ def outcome_runs(stamps=None, max_size=12, min_size=0):
 # same values, bit for bit, with the same types.
 def poker_outcome(rec):
     delta = rec.value_delta_bb
-    return Outcome(delta > 0, delta, rec.game_start, rec.game_id,
-                   rec.voluntary_entry)
+    return Outcome(delta > 0, delta, rec.game_start, rec.voluntary_entry)
 
 
 def rummy_outcome(rec):
     delta = float(rec.winner_points) if rec.is_winner else -float(rec.loss_points)
-    return Outcome(rec.is_winner, delta, rec.game_start, rec.deal_id, None)
+    return Outcome(rec.is_winner, delta, rec.game_start, None)

@@ -8,8 +8,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"},
-           {"name": "rows_per_s", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "rows_per_s", "better": "higher", "bound": 0.25}]
 
 
 def _run(pair, side, wall, rate, workload="w"):
@@ -41,6 +41,26 @@ def test_summary_skips_a_workload_without_a_finished_pair():
     assert wall["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert wall["change_better_pairs"] == 1
 
+
+
+def test_summary_checks_the_median_shift_against_the_bound():
+    runs = [_run(0, "parent", 2.0, 100), _run(0, "change", 2.6, 80),
+            _run(1, "change", 2.4, 70), _run(1, "parent", 2.0, 100)]
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    # wall 2.0 -> 2.5 s is 25% worse, at the bound; rate 100 -> 75 too
+    assert summary["wall_s"]["worse_shift"] == pytest.approx(0.25)
+    assert summary["wall_s"]["within_bound"] is True
+    assert summary["rows_per_s"]["worse_shift"] == pytest.approx(0.25)
+    runs[1] = _run(0, "change", 2.7, 60)
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    assert summary["wall_s"]["within_bound"] is False
+    assert summary["rows_per_s"]["within_bound"] is False
+    # a better median reads as a negative shift
+    better = [_run(0, "parent", 2.0, 100), _run(0, "change", 1.5, 150)]
+    summary = bench_pairs.summarize(better, METRICS)["w"]
+    assert summary["wall_s"]["worse_shift"] == pytest.approx(-0.25)
+    assert summary["rows_per_s"]["worse_shift"] == pytest.approx(-0.5)
+    assert summary["rows_per_s"]["within_bound"] is True
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

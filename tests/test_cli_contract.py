@@ -98,6 +98,11 @@ CASES = [
     ("analyze-one-log-two-spellings", non_utf8(BASE_LOG, 300),
      lambda p: _analyze(p["IN"], p["OUT"], more_logs=[respelled(p["IN"])]),
      EXIT_USAGE, "IN"),
+    # not UTF-8, so the code is 3 if the log is read before the check
+    ("analyze-min-games-above-max-games", non_utf8(BASE_LOG, 300),
+     lambda p: _analyze(p["IN"], p["OUT"], "--min-games", "50",
+                        "--max-games", "40"),
+     EXIT_USAGE, "--min-games 50"),
     ("ingest-same-log-twice", None,
      lambda p: ["ingest", "--game", "poker", p["LOG"], p["LOG"]],
      EXIT_USAGE, "LOG"),
@@ -217,6 +222,22 @@ def test_outcome_overflow(tmp_path, capsys, game, data, rejected, code):
     assert "Traceback" not in err
     assert (err.startswith("error: ") and err.count("\n") == 1
             if code else err == "")
+
+
+def test_undefined_metric_is_named_apart_from_too_few_games(tmp_path, capsys):
+    # Every rummy player has the games, but rummy rows carry no
+    # voluntary_entry flags, so tightness is undefined for all of them.
+    path = tmp_path / "log.csv"
+    path.write_bytes(RUMMY_LOG)
+    argv = ["analyze", str(path), "--game", "rummy", "--table-size", "3",
+            "--min-games", "10", "--metric", "tightness",
+            "--out", str(tmp_path / "out")]
+    assert exit_code(argv) == EXIT_COHORT
+    assert capsys.readouterr().err == (
+        "error: only 0 players qualify: 24 have >= 10 games in both "
+        "periods, and 24 of those have tightness undefined in a period\n")
+    argv[argv.index("tightness")] = "win_rate"
+    assert exit_code(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("pos", [300, 30000],

@@ -223,19 +223,24 @@ def _poker_rows(user_id, n, start_hour=0):
 
 class TestBuildTimelines:
     def test_orders_by_time(self):
-        recs, _ = parse_poker_log(poker_csv(_poker_rows("a", 3)))
-        tls = build_timelines(recs)
-        keys = [o.key for o in tls[6]["a"].outcomes]
-        assert keys == ["g0000", "g0001", "g0002"]
+        # hours 0, 1, 2 with deltas -5, 10, 1 bb, given latest first
+        rows = [{**row, "chips_won": won} for row, won
+                in zip(_poker_rows("a", 3), ("0", "30", "12"))]
+        recs, _ = parse_poker_log(poker_csv(rows[::-1]))
+        outcomes = build_timelines(recs)[6]["a"].outcomes
+        stamps = [o.timestamp for o in outcomes]
+        assert stamps == sorted(stamps) and len(set(stamps)) == 3
+        assert [o.value_delta for o in outcomes] == [-5.0, 10.0, 1.0]
 
     def test_game_id_tiebreak_on_equal_timestamps(self):
         rows = [
-            {**POKER_ROW, "game_id": "g2"},
+            {**POKER_ROW, "game_id": "g2", "chips_won": "30"},
             {**POKER_ROW, "game_id": "g1"},
         ]
         recs, _ = parse_poker_log(poker_csv(rows))
         tls = build_timelines(recs)
-        assert [o.key for o in tls[6]["u1"].outcomes] == ["g1", "g2"]
+        # g1 (-5 bb) before g2 (+10 bb)
+        assert [o.value_delta for o in tls[6]["u1"].outcomes] == [-5.0, 10.0]
 
     def test_two_users_two_timelines(self):
         recs, _ = parse_poker_log(
@@ -300,11 +305,12 @@ class TestBuildTimelines:
         assert repr(outcome.value_delta) == "-0.0"
 
     def test_rummy_deal_number_tiebreak(self):
-        rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n)}
-                for n in (3, 1, 2)]
+        rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n),
+                 "winner_points": str(10 * n)} for n in (3, 1, 2)]
         recs, _ = parse_rummy_log(rummy_csv(rows))
         tls = build_timelines(recs)
-        assert [o.key for o in tls[6]["u1"].outcomes] == ["d1", "d2", "d3"]
+        assert [o.value_delta for o in tls[6]["u1"].outcomes] == \
+            [10.0, 20.0, 30.0]
 
     def test_player_with_poker_and_rummy_records_raises(self):
         poker, _ = parse_poker_log(poker_csv([POKER_ROW]))

@@ -15,7 +15,6 @@ from cardskill.metrics import (
     EmptyTimeline,
     MetricError,
     MissingVoluntaryEntry,
-    NoLosingDeals,
     NotPoker,
     OutOfRange,
     Segments,
@@ -25,7 +24,6 @@ from cardskill.metrics import (
     bb_per_100,
     percentile_position,
     rank_average,
-    rummy_skill_variables,
     standardize,
     theoretical_quantile,
     tightness,
@@ -154,27 +152,19 @@ class TestWindowMetrics:
 
 
 class TestRummySkillVariables:
+    """The paper's rummy variables, as METRICS compute them on a rummy
+    timeline."""
+
     def test_win_rate_and_losing_mean(self):
         points = [40, -20, -20, 25, -30, -10, 30, -40, 15, -60]
-        tl = rummy_timeline(points)
-        view = {o.key: [10.0] for o in tl.outcomes if o.won}
-        win_rate, avg_lost, _ = rummy_skill_variables(tl, view)
-        assert win_rate == pytest.approx(0.4)
-        assert avg_lost == pytest.approx(30.0)
-
-    def test_opponent_points_mean(self):
-        tl = rummy_timeline([40, 25])
-        keys = [o.key for o in tl.outcomes]
-        view = {keys[0]: [10.0], keys[1]: [30.0]}
-        _, _, avg_opp = rummy_skill_variables(
-            rummy_timeline([40, 25, -5]), view
-        )
-        assert avg_opp == pytest.approx(20.0)
+        outcomes = rummy_timeline(points).outcomes
+        assert METRICS["win_rate"](outcomes) == pytest.approx(0.4)
+        assert METRICS["avg_points_lost_losing"](outcomes) == \
+            pytest.approx(30.0)
 
     def test_no_losing_deals(self):
-        tl = rummy_timeline([40, 25])
-        with pytest.raises(NoLosingDeals):
-            rummy_skill_variables(tl, {})
+        outcomes = rummy_timeline([40, 25]).outcomes
+        assert METRICS["avg_points_lost_losing"](outcomes) is None
 
 
 class TestRankAverage:

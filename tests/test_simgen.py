@@ -218,19 +218,18 @@ def test_simulated_timelines_match_csv_path(cfg):
             assert type(o.won) is bool
             assert type(o.value_delta) is float
             assert type(o.timestamp) is int
-            assert type(o.key) is str
             assert type(o.voluntary_entry) is flag
 
 
 @pytest.mark.parametrize("cfg, digest", [
     (SimConfig(game="poker", table_size=2, n_players=40, games_per_player=30,
                min_games_per_player=8, seed=31),
-     "458ed80e23c68da156e069d5bb22f36110d51d186e7f0f17385ad6fee390fd47"),
+     "a454657637630a5f709aa1eb6495b40d8678af3b75fe0bb6911118ebdb658d21"),
     (SimConfig(game="rummy", table_size=3, n_players=30, games_per_player=20,
                stagger_starts=True, seed=32),
-     "0d91cb2bf66d79713f2167741794cf3626c0888f4a1501ee0135a517d9503c2a"),
+     "105bdee3e0e6f40030f1d82f04cfe305ee244da817f1c4566439f07b592b5d56"),
     (POKER_6_SKILL,
-     "ea2b36fd1d4f8c0c79cf1aa64746a1fc93f5ddf67211de3a6c3468e428831c4e"),
+     "91ebb88765f2c915edc2782679f86f64fffd442b38a6406b8f4ce88a309fe4cf"),
 ], ids=["poker-2-chance-quotas", "rummy-3-stagger", "poker-6-skill"])
 def test_simulate_timelines_pinned(cfg, digest):
     """The users and timeline reprs, in dict order, pinned by sha256."""

@@ -399,7 +399,7 @@ class TestLearningCurve:
                 table_size=2,
                 outcomes=tuple(
                     Outcome(won=d > 0, value_delta=float(d),
-                            timestamp=j * HOUR_MS, key=f"g{j:04d}")
+                            timestamp=j * HOUR_MS)
                     for j, d in enumerate(deltas)
                 ),
             )
@@ -662,7 +662,7 @@ class TestSegmentForm:
         # the rest of the rule reads only the least and greatest stamp
         lo, hi = min(stamps), max(stamps)
         bounds = {u: PlayerTimeline(u, 2, tuple(
-            Outcome(True, 0.0, t, "g") for t in (lo, hi))) for u in ("a",)}
+            Outcome(True, 0.0, t) for t in (lo, hi))) for u in ("a",)}
         assert got == repr(stattests.resolve_split(bounds))
 
     @settings(max_examples=200, deadline=None)
@@ -713,7 +713,7 @@ def test_unpaired_players_leave_the_spans():
     # too few games per period and one whose metric is undefined (no loss)
     def player(deltas, stamps):
         return PlayerTimeline("u", 2, tuple(
-            Outcome(d > 0, d, t, "g") for d, t in zip(deltas, stamps)))
+            Outcome(d > 0, d, t) for d, t in zip(deltas, stamps)))
 
     cohort = {f"p{i}": player([1.0, -i - 1.0] * 4,
                               [10, 11, 12, 13, 100, 101, 102, 103])

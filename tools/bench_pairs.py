@@ -11,7 +11,11 @@ pair (the parent first in pair 0); T is ``BENCHMARK.json``'s
 ``run_seconds``. Every run's ``record`` line is kept with its side, run
 order and pair index. The summary gives, for each end-to-end metric that
 ``BENCHMARK.json`` lists, the median and quartiles (inclusive method) of
-each side's runs and the number of pairs in which the change read better.
+each side's runs, the number of pairs in which the change read better, and
+the no-regression check: the change's median shift in the metric's worse
+direction as a share of the parent's median (``worse_shift``, negative when
+the change is better), and whether that is at most the metric's ``bound``
+(``within_bound``).
 The file is rewritten after every run, so an interruption loses only the
 run in progress. A run that exits non-zero or prints no record line stops
 the script with exit 1.
@@ -56,9 +60,9 @@ def _spread(values: List[float]) -> dict:
 
 
 def summarize(runs: List[dict], metrics: List[dict]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the
+    """Per workload and metric: each side's median and quartiles, the
     pairs, among those with both sides run, in which the change read
-    better."""
+    better, and the median's worse_shift against the metric's bound."""
     summary: Dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair: Dict[int, dict] = {}
@@ -75,9 +79,13 @@ def summarize(runs: List[dict], metrics: List[dict]) -> dict:
                      for side in SIDES}
             better = sum((c < p) if lower else (c > p)
                          for p, c in zip(value["parent"], value["change"]))
+            spread = {side: _spread(value[side]) for side in SIDES}
+            parent = spread["parent"]["median"]
+            shift = (spread["change"]["median"] - parent) / abs(parent)
+            shift = shift if lower else -shift
             summary[workload][name] = {
-                **{side: _spread(value[side]) for side in SIDES},
-                "change_better_pairs": better, "pairs": len(pairs)}
+                **spread, "change_better_pairs": better, "pairs": len(pairs),
+                "worse_shift": shift, "within_bound": shift <= m["bound"]}
     return summary
 
 
