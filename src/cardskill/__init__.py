@@ -22,7 +22,6 @@ from .metrics import (  # noqa: F401
     bb_per_100,
     percentile_position,
     rank_average,
-    standardize,
     theoretical_quantile,
     tightness,
     win_probability_series,

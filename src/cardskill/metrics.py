@@ -4,8 +4,8 @@ Covers the per-window metric registry (METRICS) that the statistical
 tests and the CLI compute every skill variable with, the per-player
 trajectories (cumulative win probability, binned blind amounts won/lost,
 tightness, BB/100), and the quantile machinery (tie-averaged ranks,
-percentile positions, inverse normal CDF, standardization) that feeds the
-QQ normality test.
+percentile positions, inverse normal CDF, sample mean and sd) that feeds
+the QQ normality test.
 """
 
 from __future__ import annotations
@@ -33,15 +33,7 @@ class NotPoker(MetricError):
     pass
 
 
-class EmptyWindow(MetricError):
-    pass
-
-
 class MissingVoluntaryEntry(MetricError):
-    pass
-
-
-class ZeroSd(MetricError):
     pass
 
 
@@ -165,14 +157,6 @@ class SkillSeries:
             raise MetricError("series y values must be finite")
 
 
-@dataclass(frozen=True)
-class QuantilePoint:
-    rank: float          # tie-averaged rank of the value
-    percentile: float    # (position - 0.5) / n, strictly increasing
-    theoretical_q: float
-    observed_q: float
-
-
 def _require_outcomes(timeline: PlayerTimeline) -> Sequence[Outcome]:
     if not timeline.outcomes:
         raise EmptyTimeline(f"player {timeline.user_id} has no outcomes")
@@ -208,32 +192,17 @@ def avg_blind_amount(
     return SkillSeries(name, tuple(points), timeline.user_id)
 
 
-def _window(
-    outcomes: Sequence[Outcome], window: Optional[Tuple[int, int]]
-) -> Sequence[Outcome]:
-    if window is None:
-        return outcomes
-    start, stop = window
-    if not (0 <= start < stop <= len(outcomes)):
-        raise EmptyWindow(f"window {window} out of bounds for n={len(outcomes)}")
-    return outcomes[start:stop]
-
-
-def bb_per_100(
-    timeline: PlayerTimeline, window: Optional[Tuple[int, int]] = None
-) -> float:
-    """Average big blinds won per 100 hands over the window (default: all)."""
+def bb_per_100(timeline: PlayerTimeline) -> float:
+    """Average big blinds won per 100 hands over the whole timeline."""
     outcomes = _require_outcomes(timeline)
     if any(o.voluntary_entry is None for o in outcomes):
         raise NotPoker("BB/100 is defined for poker timelines only")
-    return _bb_per_100(_window(outcomes, window))
+    return _bb_per_100(outcomes)
 
 
-def tightness(
-    timeline: PlayerTimeline, window: Optional[Tuple[int, int]] = None
-) -> float:
+def tightness(timeline: PlayerTimeline) -> float:
     """1 - VPIP: the fraction of hands the player stayed out of voluntarily."""
-    value = _tightness(_window(_require_outcomes(timeline), window))
+    value = _tightness(_require_outcomes(timeline))
     if value is None:
         raise MissingVoluntaryEntry("timeline lacks voluntary_entry flags")
     return value
@@ -241,19 +210,16 @@ def tightness(
 
 def rank_average(values: Sequence[float]) -> List[float]:
     """Ascending ranks 1..n; tied values get the mean of their positions."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j + 2) / 2.0  # mean of 1-based positions i+1..j+1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranked = v[order]
+    # runs of equal values in sorted order: positions starts[k]..stops[k]-1
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    stops = np.append(starts[1:], len(v))
+    ranks = np.empty(len(v))
+    # the mean of the run's 1-based positions starts+1..stops
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
+    return ranks.tolist()
 
 
 def percentile_position(rank: float, n: int) -> float:
@@ -309,12 +275,6 @@ def theoretical_quantile(p: float) -> float:
         u = e / _normal_pdf(x)
         x -= u / (1.0 + 0.5 * x * u)
     return x
-
-
-def standardize(x: float, mean: float, sd: float) -> float:
-    if sd <= 0:
-        raise ZeroSd("standard deviation must be > 0")
-    return (x - mean) / sd
 
 
 def sample_mean_std(values: Sequence[float]) -> Tuple[float, float]:

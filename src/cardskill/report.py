@@ -100,18 +100,20 @@ def write_reports(out_dir: str, report: VerdictReport,
     All five payloads are rendered before any file is touched. A stale
     verdict.json is removed first and the new one is written last."""
     groups = report.quantiles.groups if report.quantiles is not None else ()
+    pers, qq = report.persistence, report.normality
     payloads = {
         "verdict.json": render_verdict_json(report, manifest),
         "persistence.csv": _csv_bytes(
             ["user_id", "metric_period_a", "metric_period_b"],
-            [(u, _num(a), _num(b)) for u, a, b in report.persistence.pairs]),
+            zip(pers.users, map(_num, pers.values_a),
+                map(_num, pers.values_b))),
         "learning.csv": _csv_bytes(
             ["bin", "mean_metric"],
             [(x, _num(y)) for x, y in report.learning.binned.points]),
         "qq.csv": _csv_bytes(
             ["rank", "percentile", "theoretical_q", "observed_q"],
-            [(_num(p.rank), _num(p.percentile), _num(p.theoretical_q),
-              _num(p.observed_q)) for p in report.normality.points]),
+            zip(*(map(_num, c) for c in (qq.ranks, qq.percentiles,
+                                         qq.theoretical, qq.observed)))),
         "quantiles.csv": _csv_bytes(
             ["group", "cumulative_players", "mean_win_rate", "std_win_rate"],
             [(j, n, _num(mean), _num(std))

@@ -265,23 +265,21 @@ def _players(config: SimConfig) -> np.ndarray:
 
 
 def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
-            quotas: np.ndarray,
-            offsets: np.ndarray) -> Iterator[Tuple[np.ndarray, Record]]:
+            quotas: np.ndarray, offsets: np.ndarray
+            ) -> Iterator[Tuple[int, np.ndarray, Record]]:
     """The matchmaking/game loop of simulate and simulate_timelines, with
-    users from _players(config). Each round is (seated players (tables,
-    size), rec): a record of the game's type whose fields are the round's
-    columns in seated.ravel() order, as numpy arrays (of objects for str
-    fields), or a plain value that every row shares."""
+    users from _players(config). Each round is (round number, seated
+    players (tables, size), rec): a record of the game's type whose fields
+    are the round's columns in seated.ravel() order, as numpy arrays (of
+    objects for str fields), or a plain value that every row shares. Its
+    game_id (and deal_id) is None: only simulate writes the ids."""
     size = config.table_size
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed).spawn(1)[0]
     )
     total_rounds = int((offsets + quotas).max())
     step = max(SPAN_MS // max(total_rounds, 1), 1)
-    gw = max(5, len(str(config.games_per_player * 2)))
     played = np.zeros(config.n_players, dtype=int)
-    tables = np.array([f"{t:05d}" for t in range(config.n_players // size)],
-                      dtype=object)
 
     for r in range(total_rounds):
         active = np.nonzero((offsets <= r) & (played < quotas))[0]
@@ -297,7 +295,6 @@ def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
         is_winner[np.arange(n_tables), np.argmax(eff + gumbel, axis=1)] = True
         user, start = users[seated.ravel()], BASE_START + r * step
         end = start + GAME_DURATION_MS
-        game = f"g{r:0{gw}d}t" + tables[:n_tables]
         if config.game == POKER:
             frac = exp_before / np.maximum(quotas[seated] - 1, 1)
             vpip = VPIP_START + (VPIP_END - VPIP_START) * frac
@@ -306,7 +303,7 @@ def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
             contrib = config.big_blind * (1.0 + 4.0 * voluntary)
             chips_won = np.where(is_winner, contrib.sum(axis=1)[:, None], 0.0)
             rec = PokerHandRecord(
-                user, np.repeat(game, size), PokerGameType.RING,
+                user, None, PokerGameType.RING,
                 PokerVariant.TEXAS_HOLDEM, config.big_blind, contrib.ravel(),
                 chips_won.ravel(), size, size, 2, voluntary.ravel(),
                 start, end)
@@ -317,12 +314,11 @@ def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
             won = np.where(is_winner, loss.sum(axis=1)[:, None], 0).ravel()
             vpp = config.value_per_point  # float(): int64 products can wrap
             rec = RummyDealRecord(
-                user, np.repeat(game, size), RummyGameType.POINTS, vpp,
-                size, size, start, end, start, end, 0.0, won * float(vpp),
-                np.repeat(game + "d1", size), 1, is_winner.ravel(), won,
-                loss.ravel())
+                user, None, RummyGameType.POINTS, vpp, size, size, start, end,
+                start, end, 0.0, won * float(vpp), None, 1, is_winner.ravel(),
+                won, loss.ravel())
         played[seated] += 1
-        yield seated, rec
+        yield r, seated, rec
 
 
 def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
@@ -330,6 +326,10 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     skills, quotas, offsets = _planted(config)
     record = RECORDS[config.game]
     texts = [text for _, _, _, text in FIELDS[record]]
+    size = config.table_size
+    gw = max(5, len(str(config.games_per_player * 2)))
+    tables = np.array([f"{t:05d}" for t in range(config.n_players // size)],
+                      dtype=object)
     # The log is spooled to an unnamed temporary file as each round is
     # encoded and read back in one read of its exact size: it is held once,
     # and no buffer grows by reallocation, whose holes would leave the
@@ -340,8 +340,12 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
             csv.writer(buf, lineterminator="\n").writerows(rows)
             out.write(buf.getvalue().encode("utf-8"))
         write([record._fields])
-        for seated, rec in _rounds(config, _players(config), skills, quotas,
-                                   offsets):
+        for r, seated, rec in _rounds(config, _players(config), skills,
+                                      quotas, offsets):
+            game = f"g{r:0{gw}d}t" + tables[:len(seated)]
+            rec = rec._replace(game_id=np.repeat(game, size))
+            if record is RummyDealRecord:
+                rec = rec._replace(deal_id=np.repeat(game + "d1", size))
             write(zip(*(
                 column_texts(text, value) if isinstance(value, np.ndarray)
                 else repeat(text(value), seated.size)
@@ -369,7 +373,8 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
         skills, quotas, offsets = _planted(config)
         users = _players(config)
         seats, cols, starts = [], [], []
-        for seated, rec in _rounds(config, users, skills, quotas, offsets):
+        for _, seated, rec in _rounds(config, users, skills, quotas,
+                                      offsets):
             seats.append(seated.ravel().astype(np.int32))
             cols.append(outcome_columns(rec))
             starts.append(rec.game_start)

@@ -3,7 +3,7 @@
 Persistence: Pearson correlation of a per-player skill variable across two
 disjoint time periods, with a seeded bootstrap CI. Learning: least-squares
 power-law and exponential fits to the cohort-mean metric across experience
-bins. Normality: a QQ comparison of standardized per-player win rates
+bins. Normality: a QQ comparison of per-player win rates, as z-scores,
 against standard normal quantiles. classify() combines the three into a
 verdict, with every threshold recorded in the report.
 """
@@ -22,12 +22,10 @@ from .metrics import (
     METRICS,
     Segments,
     column,
-    QuantilePoint,
     SkillSeries,
     percentile_position,
     rank_average,
     sample_mean_std,
-    standardize,
     theoretical_quantile,
 )
 from .records import Outcome, PlayerTimeline
@@ -74,22 +72,29 @@ STAT_BLOCK = 1 << 16  # outcomes persistence and learning read at once
 ALPHA_BOUNDS = (1e-8, 50.0)  # the curve fits' range of alpha
 FIT_GRID = 128  # alphas a pass; each pass narrows log(hi/lo) 63.5-fold,
 FIT_PASSES = 7  # so from 22 to 5e-12
+QQ_MIN_PLAYERS = 20
 
 SKILL_DOMINANT = "SkillDominant"
 CHANCE_DOMINANT = "ChanceDominant"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceResult:
+    """The paired players as columns: users[i] read values_a[i] in period A
+    and values_b[i] in B. Compares by identity, as its arrays have no
+    single truth value."""
+
     r: float
     n_players: int
     period_a: Tuple[int, int]  # (start_ms, end_ms) of observed period A
     period_b: Tuple[int, int]
     min_games: int
     bootstrap_ci95: Tuple[float, float]
-    metric: str = "win_rate"
-    pairs: Tuple[Tuple[str, float, float], ...] = ()
+    metric: str
+    users: Tuple[str, ...]
+    values_a: np.ndarray
+    values_b: np.ndarray
 
     def ci_covers_zero(self) -> bool:
         lo, hi = self.bootstrap_ci95
@@ -141,9 +146,17 @@ class LearningCurveResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QQResult:
-    points: Tuple[QuantilePoint, ...]
+    """One point per value, as columns in ascending value order: its
+    tie-averaged rank, its percentile (position - 0.5) / n, that
+    percentile's normal quantile and the value's z-score. Compares by
+    identity, as its arrays have no single truth value."""
+
+    ranks: np.ndarray
+    percentiles: np.ndarray
+    theoretical: np.ndarray
+    observed: np.ndarray
     r_squared: float
     max_abs_deviation: float
     normal_consistent: bool
@@ -152,7 +165,7 @@ class QQResult:
 
     def as_dict(self) -> dict:
         return {
-            "n": len(self.points),
+            "n": len(self.observed),
             "r_squared": self.r_squared,
             "max_abs_deviation": self.max_abs_deviation,
             "normal_consistent": self.normal_consistent,
@@ -298,7 +311,9 @@ def persistence_test(
     metric_fn = METRICS[metric]
     split_ms = resolve_split(timelines, split)
 
-    pairs: List[Tuple[str, float, float]] = []
+    users_paired: List[str] = []
+    xs: List[float] = []
+    ys: List[float] = []
     enough = 0  # players with min_games in both periods
     spans = []  # per block: first and last stamp of its pairs in A, then B
     for users, bounds, flat in _blocks(timelines):
@@ -319,27 +334,29 @@ def persistence_test(
         paired = np.zeros(len(users), dtype=bool)
         for i, a, b in zip(q.tolist(), values, values[len(q):]):
             if a is not None and b is not None:
-                pairs.append((users[i], a, b))
+                users_paired.append(users[i])
+                xs.append(a)
+                ys.append(b)
                 paired[i] = True
         if paired.any():
             ta, tb = ts[paired[player] & ~in_b], ts[paired[player] & in_b]
             spans.append((ta.min(), ta.max(), tb.min(), tb.max()))
 
-    if len(pairs) < 3:
+    n = len(users_paired)
+    if n < 3:
         raise InsufficientPlayers(
-            f"only {len(pairs)} players qualify: {enough} have >= "
-            f"{min_games} games in both periods, and {enough - len(pairs)} "
+            f"only {n} players qualify: {enough} have >= "
+            f"{min_games} games in both periods, and {enough - n} "
             f"of those have {metric} undefined in a period"
         )
-    xs = np.array([p[1] for p in pairs])
-    ys = np.array([p[2] for p in pairs])
+    xs, ys = np.array(xs), np.array(ys)
     for i in np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))[:1]:
-        raise StatTestError(f"{metric} of player {pairs[i][0]!r} in period "
-                            f"{'AB'[int(np.isfinite(xs[i]))]} is not finite")
+        raise StatTestError(f"{metric} of player {users_paired[i]!r} in "
+                            f"period {'AB'[int(np.isfinite(xs[i]))]} is not "
+                            f"finite")
     r = pearson(xs, ys)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    n = len(pairs)
     rows = max(1, BOOT_BLOCK // n)
     rs = np.empty(n_boot)
     for s in range(0, n_boot, rows):
@@ -365,7 +382,9 @@ def persistence_test(
         min_games=min_games,
         bootstrap_ci95=(lo, hi),
         metric=metric,
-        pairs=tuple(pairs),
+        users=tuple(users_paired),
+        values_a=xs,
+        values_b=ys,
     )
 
 
@@ -509,38 +528,35 @@ def qq_test(
     win_rates: Sequence[float],
     threshold_r2: float = DEFAULT_THRESHOLDS["threshold_r2"],
     threshold_dev: float = DEFAULT_THRESHOLDS["threshold_dev"],
-    min_players: int = 20,
 ) -> QQResult:
-    """QQ comparison of standardized values against normal quantiles.
+    """QQ comparison of the values' z-scores against normal quantiles, over
+    at least QQ_MIN_PLAYERS values.
 
     Percentiles come from the ordinal position (i - 0.5)/n on the sorted
     values, so the sequence is strictly increasing and pairwise symmetric;
-    tie-averaged ranks are carried alongside on each point.
+    tie-averaged ranks are carried alongside. The mean and sd are the
+    built-in sums over the sorted values, as numpy's pairwise sums would
+    move low-order bits.
     """
     n = len(win_rates)
-    if n < min_players:
-        raise TooFewPlayers(f"need >= {min_players} players, got {n}")
-    values = sorted(float(v) for v in win_rates)
-    mean, sd = sample_mean_std(values)
+    if n < QQ_MIN_PLAYERS:
+        raise TooFewPlayers(f"need >= {QQ_MIN_PLAYERS} players, got {n}")
+    values = np.sort(np.asarray(win_rates, dtype=float), kind="stable")
+    mean, sd = sample_mean_std(values.tolist())
     if sd == 0.0:
         raise ZeroVariance("all win rates identical")
-    ranks = rank_average(values)
-    points = []
-    for i, v in enumerate(values, start=1):
-        p = percentile_position(i, n)
-        points.append(QuantilePoint(
-            rank=ranks[i - 1],
-            percentile=p,
-            theoretical_q=theoretical_quantile(p),
-            observed_q=standardize(v, mean, sd),
-        ))
-    theo = [pt.theoretical_q for pt in points]
-    obs = [pt.observed_q for pt in points]
+    percentiles = np.array([percentile_position(i, n)
+                            for i in range(1, n + 1)])
+    theo = np.array([theoretical_quantile(p) for p in percentiles.tolist()])
+    obs = (values - mean) / sd
     r_squared = pearson(theo, obs) ** 2
-    max_dev = max(abs(o - t) for o, t in zip(obs, theo))
+    max_dev = float(np.abs(obs - theo).max())
     consistent = r_squared >= threshold_r2 and max_dev <= threshold_dev
     return QQResult(
-        points=tuple(points),
+        ranks=np.array(rank_average(values)),
+        percentiles=percentiles,
+        theoretical=theo,
+        observed=obs,
         r_squared=r_squared,
         max_abs_deviation=max_dev,
         normal_consistent=consistent,

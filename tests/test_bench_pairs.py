@@ -63,6 +63,52 @@ def test_summary_checks_the_median_shift_against_the_bound():
     assert summary["rows_per_s"]["within_bound"] is True
 
 
+def _pairs(parent_walls, change_walls):
+    """Runs of the given walls, pair by pair; the rate is 10 / wall."""
+    return [_run(i, side, wall, 10 / wall)
+            for i, walls in enumerate(zip(parent_walls, change_walls))
+            for side, wall in zip(("parent", "change"), walls)]
+
+
+def test_summary_marks_a_parent_spread_wider_than_the_bound_unresolved():
+    # parent IQR 2.5 - 1.5 = 1.0 over a median of 2.0: wider than 0.25
+    summary = bench_pairs.summarize(
+        _pairs([1.0, 2.0, 3.0], [1.5, 2.5, 2.0]), METRICS)["w"]
+    assert summary["wall_s"]["unresolved"] is True
+    assert summary["rows_per_s"]["unresolved"] is True
+    # every change run better than every parent run settles it
+    summary = bench_pairs.summarize(
+        _pairs([1.0, 2.0, 3.0], [0.5, 0.6, 0.9]), METRICS)["w"]
+    assert summary["wall_s"]["unresolved"] is False
+    assert summary["rows_per_s"]["unresolved"] is False
+    # a narrow parent spread resolves a change that overlaps it
+    summary = bench_pairs.summarize(
+        _pairs([2.0, 2.0, 2.1], [2.0, 2.2, 1.9]), METRICS)["w"]
+    assert summary["wall_s"]["unresolved"] is False
+
+
+def test_summary_shows_a_gain_only_when_it_is_clear():
+    parent = [2.0 + i / 10 for i in range(10)]  # IQR 0.45, median 2.45
+    summary = bench_pairs.summarize(
+        _pairs(parent, [1.0] * 9 + [3.0]), METRICS)["w"]
+    assert summary["wall_s"]["change_better_pairs"] == 9
+    assert summary["wall_s"]["gain_shown"] is True
+    assert summary["rows_per_s"]["gain_shown"] is True
+    # better in only 8 of 10 pairs
+    summary = bench_pairs.summarize(
+        _pairs(parent, [1.0] * 8 + [3.0] * 2), METRICS)["w"]
+    assert summary["wall_s"]["gain_shown"] is False
+    # better in every pair, by less than the parent's IQR
+    summary = bench_pairs.summarize(
+        _pairs(parent, [w - 0.1 for w in parent]), METRICS)["w"]
+    assert summary["wall_s"]["change_better_pairs"] == 10
+    assert summary["wall_s"]["gain_shown"] is False
+    # a worse change shows no gain
+    summary = bench_pairs.summarize(
+        _pairs(parent, [w + 1.0 for w in parent]), METRICS)["w"]
+    assert summary["wall_s"]["gain_shown"] is False
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_fewer_than_one_pair_exits_2(tmp_path, capsys, pairs):
     out = tmp_path / "b.json"

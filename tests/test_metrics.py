@@ -19,12 +19,10 @@ from cardskill.metrics import (
     OutOfRange,
     Segments,
     SkillSeries,
-    ZeroSd,
     avg_blind_amount,
     bb_per_100,
     percentile_position,
     rank_average,
-    standardize,
     theoretical_quantile,
     tightness,
     win_probability_series,
@@ -95,7 +93,7 @@ class TestBBPer100:
 
     def test_exact_100_hand_window(self):
         tl = poker_timeline([0.07] * 100)
-        assert bb_per_100(tl, (0, 100)) == pytest.approx(7.0)
+        assert bb_per_100(tl) == pytest.approx(7.0)
 
     def test_scaling_invariance(self):
         # bb-normalized deltas don't change if chips and blind both scale
@@ -177,6 +175,12 @@ class TestRankAverage:
     def test_no_ties(self):
         assert rank_average([3, 1, 2]) == [3, 1, 2]
 
+    def test_signed_zeros_tie_and_empty(self):
+        ranks = rank_average([0.0, -0.0, 1.0, -0.0])
+        assert ranks == [2.0, 2.0, 4.0, 2.0]
+        assert all(type(r) is float for r in ranks)
+        assert rank_average([]) == []
+
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
     def test_matches_scipy_and_sums_exactly(self, values):
         ours = rank_average([float(v) for v in values])
@@ -241,21 +245,6 @@ class TestTheoreticalQuantile:
             assert theoretical_quantile(p) == pytest.approx(
                 float(ndtri(p)), abs=1e-12
             )
-
-
-class TestStandardize:
-    def test_at_mean(self):
-        assert standardize(0.38, 0.38, 0.02) == 0.0
-
-    def test_one_sd_above(self):
-        assert standardize(0.40, 0.38, 0.02) == pytest.approx(1.0)
-
-    def test_example(self):
-        assert standardize(0.42, 0.38, 0.02) == pytest.approx(2.0)
-
-    def test_zero_sd(self):
-        with pytest.raises(ZeroSd):
-            standardize(1.0, 1.0, 0.0)
 
 
 class TestSegmentReductions:

@@ -86,23 +86,51 @@ def test_manifest_without_data_range(verdict):
     assert doc["manifest"]["data_end"] is None
 
 
+# sha256 of each report file of the verdict fixture, which has tied win
+# rates, as the per-player objects wrote them before the results held columns.
+REPORT_DIGESTS = {
+    "learning.csv":
+        "43a07ee1130eba4b1eeb86a6e2d78d9546b1bfe4c25b0ff3153638b00d376172",
+    "persistence.csv":
+        "91ace72e47520e715d16929fea892d6a295373b3b93d7054c63e3a3348f86dce",
+    "qq.csv":
+        "05eb19ab1ada8ab8e722e681ffe903f69a1f36bb367cf45e61ad6bdd958ee50f",
+    "quantiles.csv":
+        "5c0c841a244b1b97fe830e2ca0ba6d95fd3b563f8bf8d24eaee15d59d170b8df",
+    "verdict.json":
+        "df34fd586bab334973e7736bcb69818c3215a739b991fcd9fc04e22fb9389140",
+}
+
+
+def test_report_bytes_pinned(verdict, manifest, tmp_path):
+    paths = write_reports(str(tmp_path), verdict, manifest)
+    assert {os.path.basename(p): report.file_digest(p)
+            for p in paths.values()} == REPORT_DIGESTS
+
+
 def test_numpy_scalars_written_as_plain_numbers(verdict, manifest, tmp_path):
-    plain = tmp_path / "plain"
-    write_reports(str(plain), verdict, manifest)
-    pers = verdict.persistence
-    learn = verdict.learning
-    np_verdict = dataclasses.replace(
+    """The columns are numpy arrays, and the learning points numpy scalars
+    here; the files equal those of the same values as Python floats."""
+    numpy = tmp_path / "numpy"
+    pers, qq, learn = verdict.persistence, verdict.normality, verdict.learning
+    write_reports(str(numpy), dataclasses.replace(
         verdict,
-        persistence=dataclasses.replace(pers, pairs=tuple(
-            (u, np.float64(a), np.float64(b)) for u, a, b in pers.pairs)),
         learning=dataclasses.replace(learn, binned=SkillSeries(
             learn.binned.metric_name,
             tuple((x, np.float64(y)) for x, y in learn.binned.points),
             learn.binned.player_scope)),
-    )
-    numpy = tmp_path / "numpy"
-    write_reports(str(numpy), np_verdict, manifest)
-    for name in ("persistence.csv", "learning.csv"):
+    ), manifest)
+    plain = tmp_path / "plain"
+    write_reports(str(plain), dataclasses.replace(
+        verdict,
+        persistence=dataclasses.replace(
+            pers, values_a=pers.values_a.tolist(),
+            values_b=pers.values_b.tolist()),
+        normality=dataclasses.replace(qq, **{
+            name: getattr(qq, name).tolist()
+            for name in ("ranks", "percentiles", "theoretical", "observed")}),
+    ), manifest)
+    for name in ("persistence.csv", "learning.csv", "qq.csv"):
         text = (numpy / name).read_text()
         assert "np." not in text
         assert text == (plain / name).read_text()

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -193,6 +194,8 @@ class TestBootstrapPinned:
         res = persistence_test(timelines, split=split_ms, min_games=3,
                                n_boot=3, seed=4)
         assert res.n_players == 2**16 + 1
+        assert len(res.users) == len(res.values_a) == len(res.values_b) \
+            == res.n_players
         assert repr(res.r) == "0.2874141378407645"
         assert repr(res.bootstrap_ci95) == (
             "(0.28460574649081377, 0.29301723145350717)")
@@ -201,8 +204,7 @@ class TestBootstrapPinned:
 def _one_shot_bootstrap(res, n_boot, seed):
     """The CI from one n_boot x n resample, as persistence_test computed it
     before it drew in blocks, and how many resamples were non-finite."""
-    xs = np.array([p[1] for p in res.pairs])
-    ys = np.array([p[2] for p in res.pairs])
+    xs, ys = res.values_a, res.values_b
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     idx = rng.integers(0, len(xs), size=(n_boot, len(xs)))
     bx = xs[idx]
@@ -439,7 +441,7 @@ class TestQQ:
         rng = np.random.default_rng(8)
         values = list(rng.integers(0, 10, 60) / 10.0)  # plenty of ties
         res = qq_test(values)
-        ps = [p.percentile for p in res.points]
+        ps = res.percentiles.tolist()
         assert all(b > a for a, b in zip(ps, ps[1:]))
         n = len(ps)
         for i in range(n):
@@ -448,6 +450,32 @@ class TestQQ:
     def test_too_few_players(self):
         with pytest.raises(TooFewPlayers):
             qq_test([0.5] * 10)
+
+    def test_identical_values_have_no_z_scores(self):
+        with pytest.raises(ZeroVariance, match="identical"):
+            qq_test([0.5] * 25)
+
+    def test_columns_equal_the_scalar_formulas(self):
+        from cardskill.metrics import (percentile_position, rank_average,
+                                       sample_mean_std, theoretical_quantile)
+
+        rng = np.random.default_rng(3)
+        values = sorted((rng.integers(0, 7, 45) / 7.0).tolist())  # ties
+        res = qq_test(rng.permutation(values).tolist())
+        mean, sd = sample_mean_std(values)
+        n = len(values)
+        ps = [percentile_position(i, n) for i in range(1, n + 1)]
+        theo = [theoretical_quantile(p) for p in ps]
+        obs = [(v - mean) / sd for v in values]
+        assert repr(res.ranks.tolist()) == repr(rank_average(values))
+        assert repr(res.percentiles.tolist()) == repr(ps)
+        assert repr(res.theoretical.tolist()) == repr(theo)
+        assert repr(res.observed.tolist()) == repr(obs)
+        assert repr((res.cohort_mean, res.cohort_sd)) == repr((mean, sd))
+        assert repr(res.max_abs_deviation) == repr(
+            max(abs(o - t) for o, t in zip(obs, theo)))
+        assert type(res.normal_consistent) is bool
+        assert res.as_dict()["n"] == n
 
 
 class TestQuantileSummary:
@@ -495,7 +523,8 @@ class TestClassify:
 
         return PersistenceResult(
             r=r, n_players=100, period_a=(0, 1), period_b=(2, 3),
-            min_games=30, bootstrap_ci95=ci,
+            min_games=30, bootstrap_ci95=ci, metric="win_rate", users=(),
+            values_a=np.empty(0), values_b=np.empty(0),
         )
 
     def _learning(self, trend):
@@ -644,7 +673,9 @@ class TestSegmentForm:
                 run()
             return
         res = run()
-        assert repr(res.pairs) == repr(tuple(pairs))
+        assert res.users == tuple(p[0] for p in pairs)
+        assert repr(res.values_a.tolist()) == repr([p[1] for p in pairs])
+        assert repr(res.values_b.tolist()) == repr([p[2] for p in pairs])
         assert res.n_players == len(pairs)
         assert (res.period_a, res.period_b) == (period_a, period_b)
         assert all(type(t) is int for t in res.period_a + res.period_b)
@@ -722,7 +753,7 @@ def test_unpaired_players_leave_the_spans():
     cohort["no-loss"] = player([1.0] * 4, [1, 2, 198, 199])
     res = persistence_test(cohort, split=SPLIT_MS, min_games=2, n_boot=50,
                            metric="avg_points_lost_losing")
-    assert [p[0] for p in res.pairs] == ["p0", "p1", "p2"]
+    assert res.users == ("p0", "p1", "p2")
     assert (res.period_a, res.period_b) == ((10, 13), (100, 103))
 
 
@@ -770,3 +801,26 @@ class TestMemoryGuard:
     def test_learning_peak(self, chance_16k):
         peak = self._peak(lambda: learning_curve_test(chance_16k))
         assert peak < 10 * 2**20
+
+    def test_results_keep_columns_not_objects(self, chance_16k):
+        """A persistence and a QQ result keep their per-player data as
+        columns: about 51 B a player here, against about 280 B when they
+        kept one tuple per pair and one point object per player."""
+        rates = [sum(o.won for o in tl.outcomes) / len(tl.outcomes)
+                 for _, tl in sorted(chance_16k.items())]
+
+        def results(cohort):
+            return (persistence_test(cohort, min_games=10, n_boot=20),
+                    qq_test([rates[i] for i in range(len(cohort))]))
+
+        results(dict(list(chance_16k.items())[:200]))  # warm every path
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = results(chance_16k)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept[0].n_players > len(chance_16k) // 2
+        assert size / len(chance_16k) < 150

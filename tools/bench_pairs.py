@@ -15,7 +15,13 @@ each side's runs, the number of pairs in which the change read better, and
 the no-regression check: the change's median shift in the metric's worse
 direction as a share of the parent's median (``worse_shift``, negative when
 the change is better), and whether that is at most the metric's ``bound``
-(``within_bound``).
+(``within_bound``). Two more fields apply the review rules:
+``unresolved`` is true when the parent's interquartile range over its
+median is wider than the ``bound`` and not every change run reads better
+than every parent run, so the runs spread too widely to tell; ``gain_shown``
+is true when the change read better in at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range, which a claimed gain needs.
 The file is rewritten after every run, so an interruption loses only the
 run in progress. A run that exits non-zero or prints no record line stops
 the script with exit 1.
@@ -62,7 +68,8 @@ def _spread(values: List[float]) -> dict:
 def summarize(runs: List[dict], metrics: List[dict]) -> dict:
     """Per workload and metric: each side's median and quartiles, the
     pairs, among those with both sides run, in which the change read
-    better, and the median's worse_shift against the metric's bound."""
+    better, the median's worse_shift against the metric's bound, and the
+    unresolved and gain_shown rules."""
     summary: Dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair: Dict[int, dict] = {}
@@ -81,11 +88,17 @@ def summarize(runs: List[dict], metrics: List[dict]) -> dict:
                          for p, c in zip(value["parent"], value["change"]))
             spread = {side: _spread(value[side]) for side in SIDES}
             parent = spread["parent"]["median"]
-            shift = (spread["change"]["median"] - parent) / abs(parent)
-            shift = shift if lower else -shift
+            gain = spread["change"]["median"] - parent
+            gain = -gain if lower else gain
+            shift = -gain / abs(parent)
+            iqr = spread["parent"]["q3"] - spread["parent"]["q1"]
+            separated = (max(value["change"]) < min(value["parent"]) if lower
+                         else min(value["change"]) > max(value["parent"]))
             summary[workload][name] = {
                 **spread, "change_better_pairs": better, "pairs": len(pairs),
-                "worse_shift": shift, "within_bound": shift <= m["bound"]}
+                "worse_shift": shift, "within_bound": shift <= m["bound"],
+                "unresolved": iqr / abs(parent) > m["bound"] and not separated,
+                "gain_shown": better >= 0.9 * len(pairs) and gain > iqr}
     return summary
 
 
