@@ -112,7 +112,10 @@ def _parser() -> argparse.ArgumentParser:
     pa.add_argument("--game", choices=["poker", "rummy"], required=True)
     pa.add_argument("--table-size", type=int, choices=TABLE_SIZE_BUCKETS,
                     default=6)
-    pa.add_argument("--min-games", type=_int_at_least(1), default=30)
+    pa.add_argument("--min-games", type=_int_at_least(1), default=30,
+                    help="games a player needs in all to enter the cohort, "
+                    "and in each period to enter the persistence test, so "
+                    "twice this many in all (default: 30)")
     pa.add_argument("--max-games", type=_int_at_least(1), default=100)
     pa.add_argument("--bin-width", type=_int_at_least(1), default=10)
     pa.add_argument("--metric", choices=sorted(METRICS), default="win_rate",

@@ -22,7 +22,7 @@ import gc
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from typing import (Iterator, Mapping, NamedTuple, NewType, Optional, Union,
                     get_type_hints)
@@ -30,6 +30,7 @@ from typing import (Iterator, Mapping, NamedTuple, NewType, Optional, Union,
 import numpy as np
 
 Millis = NewType("Millis", int)  # epoch milliseconds
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class RecordError(ValueError):
@@ -80,16 +81,19 @@ def parse_timestamp(text: str) -> int:
     """ISO-8601 UTC text -> epoch milliseconds. Naive times are taken as UTC."""
     try:
         dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError:
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        # OverflowError when the UTC instant falls outside years 1-9999
+        dt = dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         raise FieldTypeError("timestamp", text, "ISO-8601 timestamp") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
     return int(round(dt.timestamp() * 1000))
 
 
 def format_timestamp(ms: int) -> str:
-    dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+    """Epoch milliseconds -> ISO-8601 UTC text, exact to the millisecond."""
+    dt = EPOCH + timedelta(milliseconds=int(ms))  # no numpy ints in timedelta
+    return dt.isoformat(timespec="milliseconds").replace("+00:00", "Z")
 
 
 def _to_row(rec: Record) -> list:

@@ -11,8 +11,9 @@ verdict, with every threshold recorded in the report.
 from __future__ import annotations
 
 import math
+from calendar import monthrange
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
@@ -28,7 +29,7 @@ from .metrics import (
     sample_mean_std,
     theoretical_quantile,
 )
-from .records import Outcome, PlayerTimeline
+from .records import EPOCH, Outcome, PlayerTimeline
 
 
 class StatTestError(ValueError):
@@ -231,13 +232,17 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+_DAY_MS = 86_400_000
+_EPOCH_DAY = EPOCH.toordinal()
+
+
 def _month_bounds_ms(ms: int) -> Tuple[int, int]:
-    """The starts (ms) of the calendar month holding ms and of the next."""
-    dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
-    floor = dt.replace(day=1, hour=0, minute=0, second=0, microsecond=0)
-    y, m = (dt.year + 1, 1) if dt.month == 12 else (dt.year, dt.month + 1)
-    ceil = floor.replace(year=y, month=m)
-    return int(floor.timestamp() * 1000), int(ceil.timestamp() * 1000)
+    """The starts (ms) of the calendar month holding ms and of the next,
+    in integer days from the epoch, so December 9999 has a next month."""
+    days = ms // _DAY_MS
+    day = date.fromordinal(_EPOCH_DAY + days)
+    floor = (days - day.day + 1) * _DAY_MS
+    return floor, floor + monthrange(day.year, day.month)[1] * _DAY_MS
 
 
 def _blocks(timelines: Mapping[str, PlayerTimeline]

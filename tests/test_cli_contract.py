@@ -4,6 +4,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cardskill import ingest
 from cardskill.cli import EXIT_COHORT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from cardskill.simgen import SimConfig, simulate
+from cardskill.records import format_timestamp, parse_timestamp
+from cardskill.simgen import BASE_START, SimConfig, simulate
 
 # A small clean heads-up log: 24 players x 40 games, 480 rows.
 BASE_LOG, _ = simulate(SimConfig(n_players=24, games_per_player=40,
@@ -196,8 +198,18 @@ def edit_row(data: bytes, **values) -> bytes:
     return b"\n".join(lines)
 
 
-# A row whose outcome value is not a finite float is rejected; a metric that
-# overflows on accepted rows is a data error.
+def shifted(data: bytes, first: str) -> bytes:
+    """data with every timestamp moved by one offset, so that the first
+    (simgen.BASE_START) reads first."""
+    offset = parse_timestamp(first) - BASE_START
+    return re.sub(rb"\d{4}-\d\d-\d\dT[\d:.]+Z", lambda m: format_timestamp(
+        parse_timestamp(m.group().decode()) + offset).encode(), data)
+
+
+# A row whose outcome value is not a finite float, or whose UTC instant is
+# outside years 1-9999, is rejected; a metric that overflows on accepted rows
+# is a data error. A cohort whose month split reaches December 9999 is
+# analyzed.
 @pytest.mark.parametrize("game,data,rejected,code", [
     ("poker", edit_row(BASE_LOG, big_blind="0.001", chips_won="1e308"),
      1, EXIT_OK),
@@ -205,7 +217,11 @@ def edit_row(data: bytes, **values) -> bytes:
      0, EXIT_DATA),
     ("rummy", edit_row(RUMMY_LOG, is_winner="1", loss_points="0",
                        winner_points="9" * 401), 1, EXIT_OK),
-], ids=["poker-delta-overflow", "poker-metric-overflow", "rummy-points"])
+    ("poker", edit_row(BASE_LOG, game_start="0001-01-01T00:00:00+01:00"),
+     1, EXIT_OK),
+    ("poker", shifted(BASE_LOG, "9999-11-01T00:00:00Z"), 0, EXIT_OK),
+], ids=["poker-delta-overflow", "poker-metric-overflow", "rummy-points",
+        "poker-stamp-in-year-0", "poker-december-9999"])
 def test_outcome_overflow(tmp_path, capsys, game, data, rejected, code):
     path = tmp_path / "log.csv"
     path.write_bytes(data)

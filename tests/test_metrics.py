@@ -246,6 +246,26 @@ class TestTheoreticalQuantile:
                 float(ndtri(p)), abs=1e-12
             )
 
+    @staticmethod
+    def _assert_near_ndtri(ps):
+        exact = ndtri(ps)
+        got = np.array([theoretical_quantile(p) for p in ps.tolist()])
+        bound = 1e-14 * np.maximum(1.0, np.abs(exact))
+        assert np.all(np.abs(got - exact) <= bound)
+
+    def test_near_ndtri_deep_in_both_tails(self):
+        """p log-uniform in [1e-300, 0.5] and its mirrors 1 - p (where
+        1 - p < 1), within 1e-14 relative of scipy's ndtri."""
+        p = 10.0 ** np.random.default_rng(19).uniform(-300, np.log10(0.5),
+                                                       5000)
+        mirrors = 1.0 - p
+        self._assert_near_ndtri(np.concatenate((p, mirrors[mirrors < 1.0])))
+
+    def test_near_ndtri_at_every_plotting_position(self):
+        n = 20_000
+        self._assert_near_ndtri(np.array(
+            [percentile_position(i, n) for i in range(1, n + 1)]))
+
 
 class TestSegmentReductions:
     """Each metric's segment reduction against the per-window body it

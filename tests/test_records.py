@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cardskill.records import (
     POKER_COLUMNS,
@@ -83,7 +85,18 @@ class TestValidateRummy:
 def test_timestamp_round_trip():
     ms = parse_timestamp("2022-12-31T23:59:59.250Z")
     assert format_timestamp(ms) == "2022-12-31T23:59:59.250Z"
+    assert format_timestamp(np.int64(ms)) == "2022-12-31T23:59:59.250Z"
     assert parse_timestamp(format_timestamp(ms)) == ms
+
+
+@example(parse_timestamp("0500-01-01T00:00:00Z"))
+@example(parse_timestamp("1000-03-01T12:34:56.789Z"))
+@given(st.integers(parse_timestamp("0001-01-01T00:00:00Z"),
+                   parse_timestamp("9999-12-31T23:59:59.999Z")))
+def test_timestamp_round_trip_in_years_1_to_9999(ms):
+    text = format_timestamp(ms)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", text)
+    assert parse_timestamp(text) == ms
 
 
 @given(
@@ -241,6 +254,15 @@ _DROP = object()
     (validate_rummy_record, RUMMY_ROW,
      {"is_winner": "0", "winner_points": "0", "loss_points": "9" * 310},
      InvariantViolation, "points must fit a finite float"),
+    # UTC instants in year 0 and year 10000
+    (validate_poker_record, POKER_ROW,
+     {"game_start": "0001-01-01T00:00:00+01:00"}, FieldTypeError,
+     "field game_start: cannot parse '0001-01-01T00:00:00+01:00' as "
+     "ISO-8601 timestamp"),
+    (validate_poker_record, POKER_ROW,
+     {"game_end": "9999-12-31T23:00:00-01:00"}, FieldTypeError,
+     "field game_end: cannot parse '9999-12-31T23:00:00-01:00' as "
+     "ISO-8601 timestamp"),
 ])
 def test_validator_wording_is_pinned(validate, base, changes, error, message):
     raw = {k: v for k, v in {**base, **changes}.items() if v is not _DROP}

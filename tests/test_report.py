@@ -94,11 +94,11 @@ REPORT_DIGESTS = {
     "persistence.csv":
         "91ace72e47520e715d16929fea892d6a295373b3b93d7054c63e3a3348f86dce",
     "qq.csv":
-        "05eb19ab1ada8ab8e722e681ffe903f69a1f36bb367cf45e61ad6bdd958ee50f",
+        "46f49d36cb14750512379ac9be5ea46f36315faab4acf766e87f74b0d4ab6381",
     "quantiles.csv":
         "5c0c841a244b1b97fe830e2ca0ba6d95fd3b563f8bf8d24eaee15d59d170b8df",
     "verdict.json":
-        "df34fd586bab334973e7736bcb69818c3215a739b991fcd9fc04e22fb9389140",
+        "4de8c5af3388882979c6a6d496a6875ba4c07fa65ccf63487b73acf46043617e",
 }
 
 

@@ -12,7 +12,7 @@ from scipy.optimize import curve_fit
 
 from cardskill import stattests
 from cardskill.metrics import METRICS
-from cardskill.records import Outcome, PlayerTimeline
+from cardskill.records import Outcome, PlayerTimeline, parse_timestamp
 from cardskill.simgen import SimConfig, simulate_timelines
 from cardskill.stattests import (
     CHANCE_DOMINANT,
@@ -141,6 +141,19 @@ class TestPersistence:
         a = persistence_test(timelines, split=split_ms, min_games=5, seed=7)
         b = persistence_test(timelines, split=split_ms, min_games=5, seed=7)
         assert a.bootstrap_ci95 == b.bootstrap_ci95
+
+    @pytest.mark.parametrize("first,last,split", [
+        ("2022-12-01T00:00Z", "2023-01-30T10:49Z", "2023-01-01T00:00Z"),
+        ("9999-11-01T00:00Z", "9999-12-31T10:49Z", "9999-12-01T00:00Z"),
+        # the nearer month start is in year 10000, so the midpoint is kept
+        ("9999-12-02T00:00Z", "9999-12-31T23:59:59.999Z", None),
+    ])
+    def test_month_split_up_to_december_9999(self, first, last, split):
+        lo, hi = parse_timestamp(first), parse_timestamp(last)
+        timelines = {"a": PlayerTimeline("a", 2, tuple(
+            Outcome(True, 0.0, t) for t in (lo, hi)))}
+        expected = (lo + hi) // 2 if split is None else parse_timestamp(split)
+        assert stattests.resolve_split(timelines) == expected
 
 
 def _independent_cohort(n_players, games, seed):
