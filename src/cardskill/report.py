@@ -16,7 +16,9 @@ import hashlib
 import io
 import json
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .records import format_timestamp
@@ -93,6 +95,10 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+def _nums(column) -> Iterator[str]:
+    return map(repr, np.asarray(column, dtype=float).tolist())  # _num of each
+
+
 def write_reports(out_dir: str, report: VerdictReport,
                   manifest: dict) -> Dict[str, str]:
     """Write verdict.json and the four figure/table CSVs; returns paths.
@@ -105,15 +111,14 @@ def write_reports(out_dir: str, report: VerdictReport,
         "verdict.json": render_verdict_json(report, manifest),
         "persistence.csv": _csv_bytes(
             ["user_id", "metric_period_a", "metric_period_b"],
-            zip(pers.users, map(_num, pers.values_a),
-                map(_num, pers.values_b))),
+            zip(pers.users, _nums(pers.values_a), _nums(pers.values_b))),
         "learning.csv": _csv_bytes(
             ["bin", "mean_metric"],
             [(x, _num(y)) for x, y in report.learning.binned.points]),
         "qq.csv": _csv_bytes(
             ["rank", "percentile", "theoretical_q", "observed_q"],
-            zip(*(map(_num, c) for c in (qq.ranks, qq.percentiles,
-                                         qq.theoretical, qq.observed)))),
+            zip(*map(_nums, (qq.ranks, qq.percentiles, qq.theoretical,
+                             qq.observed)))),
         "quantiles.csv": _csv_bytes(
             ["group", "cumulative_players", "mean_win_rate", "std_win_rate"],
             [(j, n, _num(mean), _num(std))

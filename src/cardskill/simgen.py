@@ -8,15 +8,14 @@ proportional to exp(effective skill) among the seated players (sampled
 via the Gumbel-argmax trick, which is exactly that softmax).
 
 The game loop yields each round as a record of columns; records states the
-log layout and the outcome rule. Output is byte-identical for a given config
-(seed included) across runs; it round-trips the ingest CSV formats with zero
-rejected rows, which SimConfig.validate ensures.
+log layout, each field's text and the outcome rule. simulate joins the texts
+itself: ids, enum values, _fmt numbers and ISO stamps need no CSV quoting.
+The log is byte-identical per config (seed included), and ingest rejects none
+of its rows, which SimConfig.validate ensures.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -330,26 +329,22 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     gw = max(5, len(str(config.games_per_player * 2)))
     tables = np.array([f"{t:05d}" for t in range(config.n_players // size)],
                       dtype=object)
-    # The log is spooled to an unnamed temporary file as each round is
-    # encoded and read back in one read of its exact size: it is held once,
-    # and no buffer grows by reallocation, whose holes would leave the
-    # caller's peak RSS to depend on where the allocator placed them.
+    # Each round is encoded into an unnamed temporary file, read back in one
+    # read of its exact size: the log is held once, and no growing buffer's
+    # reallocation holes make the caller's peak RSS depend on the allocator.
     with tempfile.TemporaryFile() as out:
-        def write(rows) -> None:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(rows)
-            out.write(buf.getvalue().encode("utf-8"))
-        write([record._fields])
+        out.write((",".join(record._fields) + "\n").encode("utf-8"))
         for r, seated, rec in _rounds(config, _players(config), skills,
                                       quotas, offsets):
             game = f"g{r:0{gw}d}t" + tables[:len(seated)]
             rec = rec._replace(game_id=np.repeat(game, size))
             if record is RummyDealRecord:
                 rec = rec._replace(deal_id=np.repeat(game + "d1", size))
-            write(zip(*(
+            rows = map(",".join, zip(*(
                 column_texts(text, value) if isinstance(value, np.ndarray)
                 else repeat(text(value), seated.size)
                 for text, value in zip(texts, rec))))
+            out.write(("\n".join(rows) + "\n").encode("utf-8"))
         out.seek(0)
         data = out.read()
     return data, _truth(config, skills, quotas)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -153,12 +155,29 @@ RUMMY_3_SKILL = SimConfig(
 )
 
 
+# The shape of the benchmark's heads-up poker cohort, at 40 players.
+POKER_HU_SKILL = SimConfig(
+    game="poker", table_size=2, n_players=40, games_per_player=30,
+    mode="skill", skill_sd=0.8, learning_curve="power", learning_b=0.6,
+    stagger_starts=True, seed=14,
+)
+RUMMY_6_SKILL = SimConfig(
+    game="rummy", table_size=6, n_players=48, games_per_player=25,
+    mode="skill", skill_sd=0.6, learning_b=0.3, min_games_per_player=10,
+    stagger_starts=True, value_per_point=0.75, seed=14,
+)
+
+
 @pytest.mark.parametrize("cfg, digest", [
     (POKER_6_SKILL,
      "19091e49c129956468833f2b6ea763a8a718734bc8008e810cfa00f1b7ddefe8"),
     (RUMMY_3_SKILL,
      "b87f174742649b3b4fa68a76a9af4f9c897314373b12e29357ceb1dae64ee453"),
-], ids=["poker", "rummy"])
+    (POKER_HU_SKILL,
+     "3a0a9561dcf9ef63a6a439e9767964eebc7a513c5387dbef1239bbea36841278"),
+    (RUMMY_6_SKILL,
+     "ada962bb37984b2af76306715943e389e2df665e3bb10add40c1d1226cc2aaf3"),
+], ids=["poker", "rummy", "poker-hu", "rummy-6"])
 def test_simulate_bytes_pinned(cfg, digest):
     data, _ = simulate(cfg)
     assert hashlib.sha256(data).hexdigest() == digest
@@ -370,6 +389,14 @@ def test_simulated_log_round_trips(cfg):
                 build(cfg)
         return
     data, _ = simulate(cfg)
+    # simulate joins the texts unquoted: the log is what csv.writer writes
+    # for its own rows, each as wide as the header, so no field holds a
+    # comma, a quote, a CR or an LF
+    table = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    assert {len(row) for row in table} == {len(table[0])}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    assert buf.getvalue().encode("utf-8") == data
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
     rows, stats = parse(data)
     assert stats.rows_rejected == 0
