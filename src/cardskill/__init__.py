@@ -11,7 +11,9 @@ from .records import (  # noqa: F401
     validate_rummy_record,
 )
 from .ingest import (  # noqa: F401
+    Cohort,
     IngestStats,
+    build_cohort,
     build_timelines,
     filter_min_games,
     parse_poker_log,

@@ -30,9 +30,10 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from . import __version__
-from .ingest import (
+from .ingest import (  # noqa: F401 - build_timelines: see cmd_analyze
     TABLE_SIZE_BUCKETS,
     HeaderMismatch,
+    build_cohort,
     build_timelines,
     filter_min_games,
     parse_poker_log,
@@ -234,8 +235,10 @@ def cmd_analyze(args) -> int:
     thresholds = _load_thresholds(args.thresholds)
     parts, stats_list = zip(*(_parse_file(path, args.game)
                               for path in args.paths))
-    buckets = build_timelines(*parts)
-    cohort = buckets.get(args.table_size, {})
+    # No timeline is built (build_timelines stays bound for perfbench), and
+    # the parsed rows go once the cohort holds what it needs of them.
+    cohort = build_cohort(args.table_size, *parts)
+    del parts
     cohort = filter_min_games(cohort, args.min_games, args.max_games)
     if not cohort:
         raise InsufficientPlayers(
@@ -255,7 +258,7 @@ def cmd_analyze(args) -> int:
                         threshold_dev=thresholds["threshold_dev"])
     k = args.quantile_groups or (10 if args.game == "poker" else 4)
     quantiles = quantile_summary(
-        [(len(cohort[u].outcomes), r) for u, r in rates.items()], k)
+        list(zip(cohort.games().tolist(), rates.values())), k)
 
     report = classify(persistence, learning, normality,
                       thresholds=thresholds, quantiles=quantiles)
@@ -270,8 +273,8 @@ def cmd_analyze(args) -> int:
             "rows_rejected": sum(s.rows_rejected for s in stats_list),
         },
         input_paths=args.paths, seed=args.seed,
-        data_start=min(tl.outcomes[0].timestamp for tl in cohort.values()),
-        data_end=max(tl.outcomes[-1].timestamp for tl in cohort.values()),
+        data_start=int(cohort.columns.timestamp.min()),
+        data_end=int(cohort.columns.timestamp.max()),
     )
     paths = write_reports(args.out, report, manifest)
     print(json.dumps({"verdict": report.verdict, "outputs": paths}, indent=2))

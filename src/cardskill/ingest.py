@@ -20,7 +20,9 @@ csv.field_size_limit() (csv.Error) aborts a parse.
 build_timelines codes the players, sorts all rows at once by player and
 game_start, orders tied rows by their type's fields in records.TIMELINE and
 builds every outcome from the sorted columns through assemble_timelines,
-which simgen.simulate_timelines calls too.
+which simgen.simulate_timelines calls too. build_cohort sorts one table-size
+bucket's rows the same way into a Cohort: the outcome columns, player by
+player, with no object per outcome. analyze and the statistics read that.
 """
 
 from __future__ import annotations
@@ -216,14 +218,21 @@ class Rows:
 
 
 class _Joined:
-    """The columns of several Rows of one type by field name, each joined
-    on first use, so the fields no one reads are never copied."""
+    """The columns of several Rows of one record type by field name, each
+    joined on first use, so the fields no one reads are never copied; with
+    keep, only the rows where keep is set. Two record types raise
+    TypeError."""
 
-    def __init__(self, parts: Tuple[Rows, ...]):
-        self.parts = parts
+    def __init__(self, parts: Tuple[Rows, ...],
+                 keep: Optional[np.ndarray] = None):
+        if len({p.record for p in parts}) > 1:
+            raise TypeError("timelines take rows of one record type")
+        self.parts, self.keep, self.record = parts, keep, parts[0].record
 
     def __getattr__(self, name: str):
         column = _joined([getattr(p.columns, name) for p in self.parts])
+        if self.keep is not None:
+            column = column[self.keep]
         setattr(self, name, column)
         return column
 
@@ -336,12 +345,72 @@ TimelineMap = Dict[Union[int, str], Dict[str, PlayerTimeline]]
 OUTCOME_BLOCK = 4096
 
 
-def _coded(values: list) -> Tuple[list, np.ndarray]:
-    """The distinct values in order of first appearance, and the index of
-    each value among them."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """One table-size bucket's players as columns, with no object per
+    outcome: users in user-id order, and player i's outcomes, in timeline
+    order, at rows bounds[i]:bounds[i + 1] of columns, an Outcome whose
+    fields are arrays: won (bool), value_delta (float), timestamp (int64 ms)
+    and voluntary_entry (float: 1.0, 0.0, or nan for None, as in rummy).
+    len() counts players; equality is identity."""
+
+    users: List[str]
+    bounds: np.ndarray
+    columns: Outcome
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def games(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def blocks(self, size: int) -> Iterator["Cohort"]:
+        """Runs of whole players, each ended by the first player to bring it
+        to size outcomes, as views of these columns."""
+        first = 0
+        while first < len(self):
+            last = min(np.searchsorted(self.bounds, self.bounds[first] + size),
+                       len(self))
+            a, b = self.bounds[first], self.bounds[last]
+            yield Cohort(self.users[first:last],
+                         self.bounds[first:last + 1] - a,
+                         Outcome._make(c[a:b] for c in self.columns))
+            first = last
+
+    def where(self, keep: np.ndarray) -> "Cohort":
+        """The players flagged in keep, as copies."""
+        rows = np.repeat(keep, self.games())
+        return Cohort([u for u, k in zip(self.users, keep.tolist()) if k],
+                      np.concatenate(([0], np.cumsum(self.games()[keep]))),
+                      Outcome._make(c[rows] for c in self.columns))
+
+
+def _coded(values: list, distinct=dict.fromkeys) -> Tuple[list, np.ndarray]:
+    """The distinct values, in order of first appearance or as distinct
+    lists them, and the index of each value among them."""
+    index = {v: i for i, v in enumerate(distinct(values))}
     return list(index), np.fromiter(map(index.__getitem__, values), np.intp,
                                     len(values))
+
+
+def _sorted_rows(code: np.ndarray, start: np.ndarray, cols,
+                 ties: Tuple[str, ...]) -> np.ndarray:
+    """The order of the rows: by code, then by start (game_start) and then
+    by the fields of cols named in ties, stably."""
+    order = np.lexsort((start, code))
+    # Sort each run of equal code and start by ties, in Python.
+    code, start = code[order], start[order]
+    same = (code[1:] == code[:-1]) & (start[1:] == start[:-1])
+    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
+    fields = [getattr(cols, name) for name in ties] if len(edges) else []
+
+    def key(i: int) -> list:
+        return [f[i] for f in fields]
+
+    for run_first, run_last in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        run = order[run_first:run_last + 1]
+        run[:] = sorted(run.tolist(), key=key)
+    return order
 
 
 def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
@@ -354,21 +423,7 @@ def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
                               for s in sizes])
     users, user = _coded(cols.user_id.tolist())
     pairs, code = _coded((bucket[size] * len(users) + user).tolist())
-
-    start = np.array(cols.game_start, np.int64)
-    order = np.lexsort((start, code))
-    # Sort each run of equal pair and game_start by ties, in Python.
-    code, start = code[order], start[order]
-    same = (code[1:] == code[:-1]) & (start[1:] == start[:-1])
-    edges = np.flatnonzero(np.diff(same, prepend=False, append=False))
-    fields = [getattr(cols, name) for name in ties]
-
-    def key(i: int) -> list:
-        return [f[i] for f in fields]
-
-    for run_first, run_last in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        run = order[run_first:run_last + 1]
-        run[:] = sorted(run.tolist(), key=key)
+    order = _sorted_rows(code, np.array(cols.game_start, np.int64), cols, ties)
     groups = [(buckets[p // len(users)], users[p % len(users)])
               for p in pairs]
     return groups, np.bincount(code, minlength=len(groups)).tolist(), order
@@ -400,11 +455,8 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     Buckets and players come in order of first appearance. Table sizes
     outside {2, 3, 6} land in the "other" bucket. Parts of two record types
     raise TypeError."""
-    record = parts[0].record
-    if any(p.record is not record for p in parts):
-        raise TypeError("build_timelines takes rows of one record type")
     cols = _Joined(parts)
-    ties, outcome_columns = TIMELINE[record]
+    ties, outcome_columns = TIMELINE[cols.record]
     groups, counts, order = _grouped(cols, ties)
     won, delta, voluntary = outcome_columns(cols)
     columns = (won, delta, cols.game_start, voluntary)
@@ -414,16 +466,35 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     return assemble_timelines(groups, counts, order, read)
 
 
+def build_cohort(table_size: int, *parts: Rows) -> Cohort:
+    """The players of build_timelines(*parts)[table_size] as a Cohort, with
+    the same outcomes in the same order: only that bucket's rows are
+    grouped and sorted, and no outcome object is built."""
+    keep = _Joined(parts).max_players == table_size
+    cols = _Joined(parts, None if keep.all() else keep)
+    ties, outcome_columns = TIMELINE[cols.record]
+    users, code = _coded(cols.user_id.tolist(), lambda v: sorted(set(v)))
+    start = np.array(cols.game_start, np.int64)
+    order = _sorted_rows(code, start, cols, ties)
+    won, delta, voluntary = outcome_columns(cols)
+    games = np.bincount(code, minlength=len(users))
+    return Cohort(users, np.concatenate(([0], np.cumsum(games))), Outcome(
+        np.asarray(won, bool)[order], np.asarray(delta)[order], start[order],
+        np.asarray(voluntary, float)[order]))
+
+
 def filter_min_games(
-    timelines: Dict[str, PlayerTimeline],
+    timelines: Union[Cohort, Dict[str, PlayerTimeline]],
     min_games: int,
     max_games: Optional[int] = None,
-) -> Dict[str, PlayerTimeline]:
+) -> Union[Cohort, Dict[str, PlayerTimeline]]:
     """Keep players with min_games <= games <= max_games (exclusion, not
     truncation: a player over the cap is removed, their series untouched)."""
     if min_games < 1:
         raise ValueError("min_games must be >= 1")
     cap = math.inf if max_games is None else max_games
+    if isinstance(timelines, Cohort):
+        games = timelines.games()
+        return timelines.where((min_games <= games) & (games <= cap))
     return {user_id: tl for user_id, tl in timelines.items()
             if min_games <= len(tl.outcomes) <= cap}
-

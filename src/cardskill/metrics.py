@@ -54,18 +54,22 @@ LOST = "Lost"
 # Window metrics: each is one reduction over Segments of a run of outcomes,
 # one value per segment, or None where it is undefined (e.g. no losses).
 
-def column(outcomes: Sequence[Outcome], name: str) -> np.ndarray:
-    """The field `name` of each outcome, in order; None reads as nan."""
+def column(outcomes, name: str) -> np.ndarray:
+    """The field `name` of each outcome, in order: an ingest.Cohort's own
+    column, or read from a sequence of Outcomes, None as nan."""
+    if hasattr(outcomes, "columns"):  # an ingest.Cohort
+        return getattr(outcomes.columns, name)
     dtype = {"won": bool, "timestamp": np.int64}.get(name, float)
     return np.fromiter(map(itemgetter(Outcome._fields.index(name)), outcomes),
                        dtype, len(outcomes))
 
 
 class Segments(NamedTuple):
-    """Segments [starts[i], stops[i]) of a run of outcomes, in their own
-    order or the given one. Counts are integer cumsum differences; sums are
-    the built-in sum of each segment's values in run order, as numpy's
-    pairwise sums would move low-order bits."""
+    """Segments [starts[i], stops[i]) of a run of outcomes (a sequence of
+    Outcomes or a Cohort), in their own order or the given one. Counts are
+    integer cumsum differences; sums are the built-in sum of each segment's
+    values in run order, as numpy's pairwise sums would move low-order
+    bits."""
 
     outcomes: Sequence[Outcome]
     starts: np.ndarray

@@ -191,9 +191,11 @@ def _fmt(x: float) -> str:
 
 
 def column_texts(text, column: np.ndarray) -> list:
-    """list(map(text, column.tolist())) for a field's text form. A float
-    column's integral values below 1e15 are converted to int64 at once;
-    _fmt writes the others."""
+    """list(map(text, column.tolist())) for a field's text form. A str
+    field's column is its own text. A float column's integral values below
+    1e15 are converted to int64 at once; _fmt writes the others."""
+    if text is str.__str__:
+        return column.tolist()
     if text is not _fmt:
         return list(map(text, column.tolist()))
     whole = (column == np.trunc(column)) & (np.abs(column) < 1e15)
@@ -255,9 +257,10 @@ def _parse_ts(raw: Mapping[str, str], name: str) -> int:
         raise FieldTypeError(name, text, "ISO-8601 timestamp") from None
 
 
-# The row parser and the text form of each field kind but Enum subclasses.
+# The row parser and the text form of each field kind but Enum subclasses;
+# a str field's text is its value, which str.__str__ checks is a str.
 _KINDS = {
-    str: (_get, str),
+    str: (_get, str.__str__),
     float: (_parse_float, _fmt),
     int: (_parse_int, str),
     bool: (_parse_bool01, {True: "1", False: "0"}.__getitem__),

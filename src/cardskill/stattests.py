@@ -5,13 +5,16 @@ disjoint time periods, with a seeded bootstrap CI. Learning: least-squares
 power-law and exponential fits to the cohort-mean metric across experience
 bins. Normality: a QQ comparison of per-player win rates, as z-scores,
 against standard normal quantiles. classify() combines the three into a
-verdict, with every threshold recorded in the report.
+verdict, with every threshold recorded in the report. Each test takes the
+cohort as an ingest.Cohort, whose columns it reads in views, or as
+timelines by user id, whose outcomes it reads a run of players at a time.
 """
 
 from __future__ import annotations
 
 import math
 from calendar import monthrange
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
@@ -19,6 +22,7 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from .ingest import Cohort
 from .metrics import (
     METRICS,
     Segments,
@@ -29,7 +33,9 @@ from .metrics import (
     sample_mean_std,
     theoretical_quantile,
 )
-from .records import EPOCH, Outcome, PlayerTimeline
+from .records import EPOCH, PlayerTimeline
+
+Cohorts = Union[Cohort, Mapping[str, PlayerTimeline]]
 
 
 class StatTestError(ValueError):
@@ -211,14 +217,22 @@ class VerdictReport:
         }
 
 
+def _unit_scaled(values) -> np.ndarray:
+    """values over the power of two at their largest magnitude, exactly
+    short of underflow: no product of them overflows, and r is the same
+    under any scaling of the values by 2**k."""
+    x = np.asarray(values, dtype=float)
+    return np.ldexp(x, -math.frexp(float(np.max(np.abs(x), initial=0)))[1])
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise StatTestError("need at least 3 pairs")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    x = _unit_scaled(xs)
+    y = _unit_scaled(ys)
     with np.errstate(all="ignore"):  # a non-finite r is raised below
         dx = x - x.mean()
         dy = y - y.mean()
@@ -245,34 +259,40 @@ def _month_bounds_ms(ms: int) -> Tuple[int, int]:
     return floor, floor + monthrange(day.year, day.month)[1] * _DAY_MS
 
 
-def _blocks(timelines: Mapping[str, PlayerTimeline]
-            ) -> Iterator[Tuple[List[str], np.ndarray, List[Outcome]]]:
-    """The timelines in user order, in runs of whole players of about
-    STAT_BLOCK outcomes: (user ids, bounds, flat), player i at bounds[i:i+2]."""
+def _blocks(cohort: Cohorts) -> Iterator[Tuple[List[str], np.ndarray,
+                                                object]]:
+    """The players in user order, in runs of whole players of about
+    STAT_BLOCK outcomes: (user ids, bounds, run), player i at
+    run[bounds[i]:bounds[i + 1]]. A Cohort's runs are Cohorts whose columns
+    are views of its own; timelines' runs are lists of their outcomes."""
+    if isinstance(cohort, Cohort):
+        for block in cohort.blocks(STAT_BLOCK):
+            yield block.users, block.bounds, block
+        return
     users, flat, bounds = [], [], [0]
-    for i, user_id in enumerate(sorted(timelines), 1):
+    for i, user_id in enumerate(sorted(cohort), 1):
         users.append(user_id)
-        flat.extend(timelines[user_id].outcomes)
+        flat.extend(cohort[user_id].outcomes)
         bounds.append(len(flat))
-        if len(flat) >= STAT_BLOCK or i == len(timelines):
+        if len(flat) >= STAT_BLOCK or i == len(cohort):
             yield users, np.array(bounds), flat
             users, flat, bounds = [], [], [0]
 
 
-def player_values(timelines: Mapping[str, PlayerTimeline],
+def player_values(cohort: Cohorts,
                   metric: str) -> Dict[str, Optional[float]]:
     """METRICS[metric] over each player's whole timeline, by user id in
     user order, read in runs of about STAT_BLOCK outcomes."""
     segments = METRICS[metric].segments
     values: Dict[str, Optional[float]] = {}
-    for users, bounds, flat in _blocks(timelines):
+    for users, bounds, run in _blocks(cohort):
         values.update(zip(users, segments(
-            Segments(flat, bounds[:-1], bounds[1:]))))
+            Segments(run, bounds[:-1], bounds[1:]))))
     return values
 
 
 def resolve_split(
-    timelines: Mapping[str, PlayerTimeline],
+    cohort: Cohorts,
     split: Union[int, str] = "month",
 ) -> int:
     """Split timestamp (ms). An int is used verbatim. "month": the
@@ -282,8 +302,8 @@ def resolve_split(
         return split
     if split != "month":
         raise ValueError(f"unknown split rule: {split!r}")
-    stamps = (column(flat, "timestamp") for _, _, flat in _blocks(timelines)
-              if flat)
+    stamps = (column(run, "timestamp") for _, bounds, run in _blocks(cohort)
+              if bounds[-1])
     ends = [f(ts) for ts in stamps for f in (np.min, np.max)]
     if not ends:
         raise InsufficientPlayers("no outcomes to split")
@@ -295,7 +315,7 @@ def resolve_split(
 
 
 def persistence_test(
-    timelines: Mapping[str, PlayerTimeline],
+    cohort: Cohorts,
     split: Union[int, str] = "month",
     metric: str = "win_rate",
     min_games: int = 30,
@@ -314,15 +334,15 @@ def persistence_test(
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     metric_fn = METRICS[metric]
-    split_ms = resolve_split(timelines, split)
+    split_ms = resolve_split(cohort, split)
 
     users_paired: List[str] = []
     xs: List[float] = []
     ys: List[float] = []
     enough = 0  # players with min_games in both periods
     spans = []  # per block: first and last stamp of its pairs in A, then B
-    for users, bounds, flat in _blocks(timelines):
-        ts = column(flat, "timestamp")
+    for users, bounds, run in _blocks(cohort):
+        ts = column(run, "timestamp")
         in_b = ts >= split_ms
         player = np.repeat(np.arange(len(users)), np.diff(bounds))
         # A stable sort on (player, period) keeps each player's outcomes at
@@ -334,7 +354,7 @@ def persistence_test(
                        & (bounds[1:] - mid >= min_games))[0]
         enough += len(q)
         values = metric_fn.segments(Segments(
-            flat, np.concatenate((bounds[q], mid[q])),
+            run, np.concatenate((bounds[q], mid[q])),
             np.concatenate((mid[q], bounds[q + 1])), order))
         paired = np.zeros(len(users), dtype=bool)
         for i, a, b in zip(q.tolist(), values, values[len(q):]):
@@ -364,10 +384,10 @@ def persistence_test(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     rows = max(1, BOOT_BLOCK // n)
     rs = np.empty(n_boot)
+    unit_xs, unit_ys = _unit_scaled(xs), _unit_scaled(ys)
     for s in range(0, n_boot, rows):
         idx = rng.integers(0, n, size=(min(rows, n_boot - s), n))
-        bx = xs[idx]
-        by = ys[idx]
+        bx, by = unit_xs[idx], unit_ys[idx]
         bx -= bx.mean(axis=1, keepdims=True)
         by -= by.mean(axis=1, keepdims=True)
         denom = np.sqrt((bx * bx).sum(axis=1) * (by * by).sum(axis=1))
@@ -449,7 +469,7 @@ def _fit(model, xs, ys) -> CurveFitResult:
 
 
 def learning_curve_test(
-    timelines: Mapping[str, PlayerTimeline],
+    cohort: Cohorts,
     metric: str = "win_rate",
     bin_width: int = 10,
     trend_epsilon: float = DEFAULT_THRESHOLDS["trend_epsilon"],
@@ -463,22 +483,22 @@ def learning_curve_test(
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
-    if not timelines:
+    if not cohort:
         raise InsufficientPlayers("empty cohort")
     metric_fn = METRICS[metric]
-    max_bins = max(len(tl.outcomes) for tl in timelines.values()) // bin_width
-    vals: List[List[float]] = [[] for _ in range(max_bins)]  # in user order
-    for _, bounds, flat in _blocks(timelines):
+    vals: Dict[int, List[float]] = defaultdict(list)  # by bin, in user order
+    for _, bounds, run in _blocks(cohort):
         # player i's bin b is the segment of bin_width from bounds[i] + b*w
         n_bins = np.diff(bounds) // bin_width
         bins = np.arange(n_bins.sum()) - np.repeat(n_bins.cumsum() - n_bins,
                                                    n_bins)
         starts = np.repeat(bounds[:-1], n_bins) + bins * bin_width
-        values = metric_fn.segments(Segments(flat, starts, starts + bin_width))
+        values = metric_fn.segments(Segments(run, starts,
+                                             starts + bin_width))
         for b, v in zip(bins.tolist(), values):
             if v is not None:
                 vals[b].append(v)
-    points = [(b + 1, sum(v) / len(v)) for b, v in enumerate(vals) if v]
+    points = [(b + 1, sum(v) / len(v)) for b, v in sorted(vals.items())]
     if not points:
         raise InsufficientPlayers("no complete experience bins")
     for b, _ in [p for p in points if not math.isfinite(p[1])][:1]:

@@ -588,6 +588,24 @@ def test_csv_reader_takes_over_in_chunk_3(parse, base, validate, odd):
     assert stats.rows_rejected >= 9
 
 
+@pytest.mark.parametrize("odd", [None, "quoted-newline", "crlf", "cr"])
+def test_lines_end_at_newline_and_cr_only(odd):
+    """The game ids hold characters that str.splitlines also takes as line
+    ends; they stay inside their fields, in plain chunks and after
+    csv.reader takes over."""
+    base = {**POKER_ROW, "game_id": "g\x1c\x1d\x1e\x85\u2028\u2029\x0b\x0c1"}
+    log = _plain_log(base, 40, None if odd is None else 16, odd)
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+        recs, stats = parse_poker_log(log)
+    ref_recs, ref_stats = _reference_parse(log, list(base),
+                                           validate_poker_record)
+    assert repr(list(recs)) == repr(ref_recs)
+    assert stats.as_dict() == ref_stats.as_dict()
+    assert set(recs.columns.game_id.tolist()) <= {
+        base["game_id"], "g\n" + base["game_id"]}
+    assert stats.rows_accepted == 30
+
+
 def test_error_samples_hold_no_traceback():
     """A sampled error keeps no traceback, whose frames would keep the
     parse's chunks alive for as long as the stats."""

@@ -65,11 +65,34 @@ class TestPearson:
 
     @pytest.mark.parametrize("xs", [
         [math.inf, 1, 2, 3],
-        [1e308, 1e308, -1e308, 2],  # finite, but the deviations overflow
     ])
     def test_non_finite_correlation_raises(self, xs):
         with pytest.raises(StatTestError, match="not finite"):
             pearson(xs, [1, 2, 3, 4])
+
+    def test_large_finite_values_do_not_overflow(self):
+        # Unscaled, the deviations' products overflow: r read 0.0 for
+        # 1e155, and the 1e308 case raised.
+        ys = [5, 1, 2, 3, 4]
+        assert pearson([1e155, 1, 2, 3, 4], ys) == pytest.approx(
+            pearson([1e150, 1, 2, 3, 4], ys), abs=1e-12)
+        assert pearson([1e155, 1, 2, 3, 4], ys) == pytest.approx(
+            1 / math.sqrt(2), abs=1e-6)
+        xs = [1e308, 1e308, -1e308, 2]
+        assert pearson(xs, [1, 2, 3, 4]) == pearson(
+            [math.ldexp(x, -1000) for x in xs], [1, 2, 3, 4])
+
+    @given(
+        xs=st.lists(st.integers(-1000, 1000).map(float),
+                    min_size=3, max_size=20),
+        k=st.integers(-1000, 1000),
+        j=st.integers(-1000, 1000),
+    )
+    def test_scaling_by_powers_of_two_is_exact(self, xs, k, j):
+        ys = [float((7 * i) % 5) for i in range(len(xs))]
+        expected = outcome_of(pearson, xs, ys)
+        assert outcome_of(pearson, [math.ldexp(x, k) for x in xs],
+                          [math.ldexp(y, j) for y in ys]) == expected
 
     @given(
         xs=st.lists(st.integers(-1000, 1000).map(float),
@@ -102,6 +125,31 @@ def _two_period_cohort(patterns, offset_games=None):
 
 
 class TestPersistence:
+    @staticmethod
+    def _scaled_cohort(k):
+        """40 players, 8 games either side of 1000 h, deltas times 2**k."""
+        rng = np.random.default_rng(11)
+        return {f"u{i}": PlayerTimeline(f"u{i}", 2, tuple(
+            Outcome(d > 0, math.ldexp(d, k), t * HOUR_MS) for d, t in zip(
+                rng.normal(i % 5, 3.0, 16).tolist(),
+                list(range(8)) + list(range(1000, 1008)))))
+            for i in range(40)}
+
+    @pytest.mark.parametrize("k", [-700, -40, 40, 600])
+    def test_ci_is_the_same_under_scaling_by_powers_of_two(self, k):
+        """bb_per_100 scales exactly with the deltas, so r and the bootstrap
+        CI must not move; at 2**600 the unscaled products of sums overflow,
+        and at 2**-700 they underflow."""
+        def run(cohort):
+            res = persistence_test(cohort, split=1000 * HOUR_MS,
+                                   metric="bb_per_100", min_games=5, seed=2)
+            return res.r, res.bootstrap_ci95, res.values_a
+        r, ci, values = run(self._scaled_cohort(0))
+        r_k, ci_k, values_k = run(self._scaled_cohort(k))
+        assert values_k.tolist() == [math.ldexp(v, k) for v in values]
+        assert (r_k, ci_k) == (r, ci)
+        assert ci[0] < r < ci[1]
+
     def test_copied_periods_give_r_one(self):
         rng = np.random.default_rng(5)
         patterns = [list(rng.random(10) < p) for p in (0.2, 0.5, 0.8, 0.4)]
