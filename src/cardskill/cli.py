@@ -40,7 +40,7 @@ from .ingest import (  # noqa: F401 - build_timelines: see cmd_analyze
     parse_rummy_log,
 )
 from .metrics import METRICS, MetricError
-from .records import RecordError, gc_paused, parse_timestamp
+from .records import RecordError, parse_timestamp
 from .report import atomic_write, build_manifest, write_reports
 from .simgen import ConfigInvalid, SimConfig, finite_number, simulate
 from .stattests import (
@@ -312,13 +312,12 @@ def cmd_version(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    with gc_paused():
-        try:
-            return args.run(args)
-        except tuple(c for classes, _ in EXIT_CODES for c in classes) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return next(code for classes, code in EXIT_CODES
-                        if isinstance(exc, classes))
+    try:
+        return args.run(args)
+    except tuple(c for classes, _ in EXIT_CODES for c in classes) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for classes, code in EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

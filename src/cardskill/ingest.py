@@ -13,16 +13,18 @@ row that the column pass or the mask rejects goes to the row validator
 rows, counts and messages are those of a row-by-row parse. The accepted
 rows are returned as numpy columns (Rows), with no record per row; memory
 still grows with the log. Rows failing validation are counted and sampled
-(first 20 structured errors with line numbers), never fatal. Only a bad
-header, text that is not UTF-8 or a field longer than
-csv.field_size_limit() (csv.Error) aborts a parse.
+(first 20 structured errors with line numbers), never fatal. A leading
+UTF-8 byte-order mark is skipped. Only a bad header, text that is not UTF-8
+or a field longer than csv.field_size_limit() (csv.Error) aborts a parse.
 
 build_timelines codes the players, sorts all rows at once by player and
 game_start, orders tied rows by their type's fields in records.TIMELINE and
 builds every outcome from the sorted columns through assemble_timelines,
 which simgen.simulate_timelines calls too. build_cohort sorts one table-size
 bucket's rows the same way into a Cohort: the outcome columns, player by
-player, with no object per outcome. analyze and the statistics read that.
+player, with no object per outcome. analyze and the statistics read a
+Cohort as one run of all its players, and filter_min_games takes and gives
+one.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _parse_log(stream, record: type,
                validate: Callable) -> Tuple[Rows, IngestStats]:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         return _parse_text(text, record, validate)
     finally:
@@ -352,7 +354,8 @@ class Cohort:
     order, at rows bounds[i]:bounds[i + 1] of columns, an Outcome whose
     fields are arrays: won (bool), value_delta (float), timestamp (int64 ms)
     and voluntary_entry (float: 1.0, 0.0, or nan for None, as in rummy).
-    len() counts players; equality is identity."""
+    The statistics read it whole, as one run. len() counts players;
+    equality is identity."""
 
     users: List[str]
     bounds: np.ndarray
@@ -363,19 +366,6 @@ class Cohort:
 
     def games(self) -> np.ndarray:
         return np.diff(self.bounds)
-
-    def blocks(self, size: int) -> Iterator["Cohort"]:
-        """Runs of whole players, each ended by the first player to bring it
-        to size outcomes, as views of these columns."""
-        first = 0
-        while first < len(self):
-            last = min(np.searchsorted(self.bounds, self.bounds[first] + size),
-                       len(self))
-            a, b = self.bounds[first], self.bounds[last]
-            yield Cohort(self.users[first:last],
-                         self.bounds[first:last + 1] - a,
-                         Outcome._make(c[a:b] for c in self.columns))
-            first = last
 
     def where(self, keep: np.ndarray) -> "Cohort":
         """The players flagged in keep, as copies."""
@@ -483,18 +473,12 @@ def build_cohort(table_size: int, *parts: Rows) -> Cohort:
         np.asarray(voluntary, float)[order]))
 
 
-def filter_min_games(
-    timelines: Union[Cohort, Dict[str, PlayerTimeline]],
-    min_games: int,
-    max_games: Optional[int] = None,
-) -> Union[Cohort, Dict[str, PlayerTimeline]]:
+def filter_min_games(cohort: Cohort, min_games: int,
+                     max_games: Optional[int] = None) -> Cohort:
     """Keep players with min_games <= games <= max_games (exclusion, not
     truncation: a player over the cap is removed, their series untouched)."""
     if min_games < 1:
         raise ValueError("min_games must be >= 1")
     cap = math.inf if max_games is None else max_games
-    if isinstance(timelines, Cohort):
-        games = timelines.games()
-        return timelines.where((min_games <= games) & (games <= cap))
-    return {user_id: tl for user_id, tl in timelines.items()
-            if min_games <= len(tl.outcomes) <= cap}
+    games = cohort.games()
+    return cohort.where((min_games <= games) & (games <= cap))

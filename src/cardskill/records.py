@@ -175,7 +175,8 @@ class PlayerTimeline:
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore its prior state:
-    records and outcomes form no cycles for its passes to free."""
+    outcomes form no cycles for its passes to free. Its one caller is
+    simgen.simulate_timelines, which builds an Outcome per game."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -6,7 +6,7 @@ power-law and exponential fits to the cohort-mean metric across experience
 bins. Normality: a QQ comparison of per-player win rates, as z-scores,
 against standard normal quantiles. classify() combines the three into a
 verdict, with every threshold recorded in the report. Each test takes the
-cohort as an ingest.Cohort, whose columns it reads in views, or as
+cohort as an ingest.Cohort, whose columns it reads whole, as one run, or as
 timelines by user id, whose outcomes it reads a run of players at a time.
 """
 
@@ -75,7 +75,7 @@ WORSENING = "Worsening"
 
 # Index values the persistence bootstrap draws at once (at least one row).
 BOOT_BLOCK = 1 << 16
-STAT_BLOCK = 1 << 16  # outcomes persistence and learning read at once
+STAT_BLOCK = 1 << 16  # outcomes of timelines the tests read at once
 ALPHA_BOUNDS = (1e-8, 50.0)  # the curve fits' range of alpha
 FIT_GRID = 128  # alphas a pass; each pass narrows log(hi/lo) 63.5-fold,
 FIT_PASSES = 7  # so from 22 to 5e-12
@@ -261,13 +261,12 @@ def _month_bounds_ms(ms: int) -> Tuple[int, int]:
 
 def _blocks(cohort: Cohorts) -> Iterator[Tuple[List[str], np.ndarray,
                                                 object]]:
-    """The players in user order, in runs of whole players of about
-    STAT_BLOCK outcomes: (user ids, bounds, run), player i at
-    run[bounds[i]:bounds[i + 1]]. A Cohort's runs are Cohorts whose columns
-    are views of its own; timelines' runs are lists of their outcomes."""
+    """The players in user order, in runs of whole players: (user ids,
+    bounds, run), player i at run[bounds[i]:bounds[i + 1]]. A Cohort is one
+    run, itself, as its columns are in memory already; timelines come in
+    lists of their outcomes, a run ending once it holds STAT_BLOCK."""
     if isinstance(cohort, Cohort):
-        for block in cohort.blocks(STAT_BLOCK):
-            yield block.users, block.bounds, block
+        yield cohort.users, cohort.bounds, cohort
         return
     users, flat, bounds = [], [], [0]
     for i, user_id in enumerate(sorted(cohort), 1):
@@ -282,7 +281,7 @@ def _blocks(cohort: Cohorts) -> Iterator[Tuple[List[str], np.ndarray,
 def player_values(cohort: Cohorts,
                   metric: str) -> Dict[str, Optional[float]]:
     """METRICS[metric] over each player's whole timeline, by user id in
-    user order, read in runs of about STAT_BLOCK outcomes."""
+    user order, read in the runs of _blocks."""
     segments = METRICS[metric].segments
     values: Dict[str, Optional[float]] = {}
     for users, bounds, run in _blocks(cohort):
@@ -326,11 +325,11 @@ def persistence_test(
     side of the split, over players with >= min_games in each period and
     the metric defined in both. Timelines need not be in time order.
 
-    Players are read in runs of about STAT_BLOCK outcomes and the percentile
-    CI comes from n_boot resamples of the players, drawn in blocks of about
-    BOOT_BLOCK values, so memory beyond the result is O(STAT_BLOCK +
-    BOOT_BLOCK), not O(outcomes + n_boot x players); the draws and the CI
-    equal one n_boot x players draw from the same seed."""
+    Players are read in the runs of _blocks and the percentile CI comes
+    from n_boot resamples of the players, drawn in blocks of about
+    BOOT_BLOCK values, so memory beyond the input and the result is O(run +
+    BOOT_BLOCK), not O(n_boot x players); the draws and the CI equal one
+    n_boot x players draw from the same seed."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
     metric_fn = METRICS[metric]
@@ -478,8 +477,8 @@ def learning_curve_test(
 
     Bin b covers each player's games (b*w, (b+1)*w]; only players with the
     full bin contribute, and bins where the metric is undefined for every
-    player emit no point. Players are read in runs of about STAT_BLOCK
-    outcomes: memory is O(STAT_BLOCK) plus one value per (player, bin).
+    player emit no point. Players are read in the runs of _blocks: memory
+    is O(run) plus one value per (player, bin).
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")

@@ -189,8 +189,11 @@ def test_reports_are_rfc4180_parsable(sim_dir, tmp_path):
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
-def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
-                                        capsys, caller_gc):
+def test_only_simulate_timelines_pauses_gc(sim_dir, tmp_path, monkeypatch,
+                                           capsys, caller_gc):
+    """main leaves the collector as the caller set it, on success and on
+    error; simulate_timelines pauses it and restores the caller's state,
+    whether it returns or raises."""
     seen, parse_poker_log = [], cli.parse_poker_log
     planted = simgen._planted
 
@@ -214,7 +217,6 @@ def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
         bad.write_text("user_id\nu1\n")
         assert run(["ingest", "--game", "poker", str(bad)]) == EXIT_DATA
         assert gc.isenabled() is caller_gc
-        # simulate_timelines pauses the collector the same way
         simgen.simulate_timelines(simgen.SimConfig(n_players=4,
                                                    games_per_player=3))
         assert gc.isenabled() is caller_gc
@@ -223,7 +225,7 @@ def test_main_pauses_gc_and_restores_it(sim_dir, tmp_path, monkeypatch,
         assert gc.isenabled() is caller_gc
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen == [False] * 4
+    assert seen == [caller_gc] * 2 + [False] * 2
 
 
 def simulated_config(tmp_path, *argv):

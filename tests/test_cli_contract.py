@@ -1,11 +1,14 @@
 """The CLI's input contract: every failure ends in a documented exit code
 (2 usage, 3 data, 4 cohort) with one "error:" line, never a traceback."""
 
+import codecs
 import csv
+import io
 import json
 import os
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -256,18 +259,42 @@ def test_undefined_metric_is_named_apart_from_too_few_games(tmp_path, capsys):
     assert exit_code(argv) == EXIT_OK
 
 
-@pytest.mark.parametrize("pos", [300, 30000],
-                         ids=["first-8KiB", "beyond-8KiB"])
-def test_non_utf8_error_names_the_line(tmp_path, capsys, pos):
-    assert pos < len(BASE_LOG)
+@pytest.mark.parametrize("pos,bom", [
+    (300, b""), (30000, b""), (30000, codecs.BOM_UTF8),
+], ids=["first-8KiB", "beyond-8KiB", "beyond-8KiB-bom"])
+def test_non_utf8_error_names_the_line(tmp_path, capsys, pos, bom):
+    """The line and column of the first byte that is not UTF-8, after a
+    leading byte-order mark too."""
+    assert BASE_LOG.index(b"\n") < pos < len(BASE_LOG)
     path = tmp_path / "log.csv"
-    path.write_bytes(non_utf8(BASE_LOG, pos))
+    path.write_bytes(bom + non_utf8(BASE_LOG, pos))
     assert exit_code(["ingest", "--game", "poker", str(path)]) == EXIT_DATA
     line = BASE_LOG.count(b"\n", 0, pos) + 1
     column = pos - BASE_LOG.rfind(b"\n", 0, pos) - 1
     assert capsys.readouterr().err == (
         f"error: {path}: line {line}: 'utf-8' codec can't decode byte 0xff "
         f"in position {column}: invalid start byte\n")
+
+
+def test_byte_order_mark_log_reads_as_without_it(tmp_path, capsys):
+    """A log that opens with a UTF-8 byte-order mark gives the counts and
+    the reports of the same log without it."""
+    reports = []
+    for name, data in (("plain", BASE_LOG),
+                       ("bom", codecs.BOM_UTF8 + BASE_LOG)):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        assert exit_code(["ingest", "--game", "poker", str(path)]) == EXIT_OK
+        counts = json.loads(capsys.readouterr().out)[str(path)]
+        out = tmp_path / name
+        assert exit_code(_analyze(str(path), str(out))) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        verdict = json.loads((out / "verdict.json").read_text())
+        del verdict["manifest"]  # names the log and its digest
+        reports.append((counts, verdict, {
+            p.name: p.read_bytes() for p in out.glob("*.csv")}))
+    assert reports[0] == reports[1] and len(reports[0][2]) == 4
+    assert reports[0][0]["rows_accepted"] == BASE_LOG.count(b"\n") - 1
 
 
 @pytest.mark.parametrize("command", ["ingest", "analyze"])
@@ -306,6 +333,16 @@ def test_split_date_kept_as_typed(log_path, tmp_path):
 
 _LINES = BASE_LOG.splitlines(keepends=True)
 
+# Field texts a mutated line may take: bad values, numbers at and beyond
+# the limits of floats and int64, the first and last instants of years
+# 1-9999, a blank-padded flag and quoted fields.
+FIELD_TEXTS = [
+    b"", b"x", b"-1", b"0", b"nan", b"1e400", b"2023-13-01T00:00Z", b'"',
+    b"Tournament", b"6", b"u0", b"1e308", b"-1e308", b"5e-324", b"-0",
+    b"1e25", b"12345678901234567890123456", b"9223372036854775808",
+    b"0001-01-01T00:00:00Z", b"9999-12-31T23:59:59Z", b" 1", b'"a,b"',
+]
+
 
 @st.composite
 def csv_bytes(draw):
@@ -315,16 +352,25 @@ def csv_bytes(draw):
         return b""
     if kind == "non_utf8":
         return non_utf8(BASE_LOG, draw(st.integers(0, len(BASE_LOG) - 1)))
-    lines = list(_LINES)
+    lines = [line.rstrip(b"\n") for line in _LINES]
     for _ in range(draw(st.integers(1, 8)) if kind == "mutated" else 0):
         i = draw(st.integers(0, len(lines) - 1))
-        fields = lines[i].rstrip(b"\n").split(b",")
-        j = draw(st.integers(0, len(fields) - 1))
-        fields[j] = draw(st.sampled_from(
-            [b"", b"x", b"-1", b"0", b"nan", b"1e400", b"2023-13-01T00:00Z",
-             b'"', b"Tournament", b"6", b"u0"]))
-        lines[i] = b",".join(fields) + b"\n"
-    return b"".join(lines)
+        fields = lines[i].split(b",")
+        edit = draw(st.sampled_from(["field", "field", "field", "duplicate",
+                                     "short", "extra"]))
+        if edit == "duplicate":
+            lines.insert(i, lines[i])
+            continue
+        if edit == "short":
+            del fields[draw(st.integers(0, len(fields) - 1)):]
+        elif edit == "extra":
+            fields.append(draw(st.sampled_from(FIELD_TEXTS)))
+        else:
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(st.sampled_from(FIELD_TEXTS))
+        lines[i] = b",".join(fields)
+    end = draw(st.sampled_from([b"\n", b"\n", b"\r\n"]))
+    return b"".join(line + end for line in lines)
 
 
 def _flag(name, valid, invalid=()):
@@ -404,15 +450,25 @@ def argv_and_files(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv_and_files())
 def test_main_exits_with_a_documented_code(case):
+    """A documented code, with nothing on stderr on success and one
+    "error: " line, the last, on failure."""
     argv, files = case
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         names = {name: os.path.join(tmp, name) for name in files}
         names["OUT"] = os.path.join(tmp, "out")
         for name, data in files.items():
             with open(names[name], "wb") as f:
                 f.write(data)
-        code = exit_code([names.get(arg, arg) for arg in argv])
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = exit_code([names.get(arg, arg) for arg in argv])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_COHORT)
+    lines = err.getvalue().splitlines()
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        assert [n for n, line in enumerate(lines) if "error: " in line] \
+            == [len(lines) - 1], lines
 
 
 # 24 heads-up players x 60 hands; bb_per_100 overflows to inf on a player

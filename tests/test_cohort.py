@@ -2,10 +2,10 @@
 the same players and outcomes, and bit-identical statistics from either."""
 
 import json
+import math
 from contextlib import nullcontext
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from cardskill import cli, ingest, stattests
@@ -93,8 +93,8 @@ def test_cohort_holds_the_timelines(config):
 def test_statistics_agree_bit_for_bit(config, block):
     """The three tests, player_values and quantile_summary, from the
     Cohort and from build_timelines' mapping, before and after the
-    min/max games filter; STAT_BLOCK as is, or 64 so that runs end inside
-    the cohort."""
+    min/max games filter; STAT_BLOCK as is, or 64 so that the timelines'
+    runs end inside the cohort."""
     rows = _parsed(config)
     timelines = build_timelines(rows)[config.table_size]
     cohort = build_cohort(config.table_size, rows)
@@ -102,10 +102,12 @@ def test_statistics_agree_bit_for_bit(config, block):
              else mock.patch.object(stattests, "STAT_BLOCK", block))
     with patch:
         for metric in METRICS:
-            for cut in ((1, None), (20, 30)):
-                kept = filter_min_games(cohort, *cut)
-                kept_map = filter_min_games(timelines, *cut)
-                assert isinstance(kept, Cohort) and len(kept) == len(kept_map)
+            for low, high in ((1, None), (20, 30)):
+                kept = filter_min_games(cohort, low, high)
+                kept_map = {u: tl for u, tl in timelines.items()
+                            if low <= len(tl) <= (high or math.inf)}
+                assert isinstance(kept, Cohort)
+                assert kept.users == sorted(kept_map)
                 assert _battery(kept, kept.games().tolist(), metric) == \
                     _battery(kept_map, [len(kept_map[u]) for u in
                                         sorted(kept_map)], metric)
@@ -144,18 +146,6 @@ def test_two_buckets_and_tied_rows():
     assert cohort.columns.value_delta[:4].tolist() == [-5.0, -4.0, -3.0, -2.5]
     empty = build_cohort(3, *parts)
     assert len(empty) == 0 and not filter_min_games(empty, 1)
-
-
-def test_blocks_are_views_of_whole_players():
-    rows = _parsed(SHAPES[0])
-    cohort = build_cohort(2, rows)
-    blocks = list(cohort.blocks(100))
-    assert [u for b in blocks for u in b.users] == cohort.users
-    assert all(b.bounds[-1] >= 100 for b in blocks[:-1])
-    assert all(b.bounds[-2] < 100 for b in blocks if len(b) > 1)
-    for b in blocks:
-        for got, whole in zip(b.columns, cohort.columns):
-            assert np.shares_memory(got, whole)
 
 
 def test_analyze_builds_no_timeline(tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import random
@@ -13,6 +14,7 @@ from cardskill.ingest import (
     HeaderMismatch,
     IngestStats,
     Rows,
+    build_cohort,
     build_timelines,
     filter_min_games,
     parse_poker_log,
@@ -385,29 +387,41 @@ class TestFilterMinGames:
     def _cohort(self, sizes):
         parts = [parse_poker_log(poker_csv(_poker_rows(uid, n)))[0]
                  for uid, n in sizes.items()]
-        return build_timelines(*parts)[6]
+        return build_cohort(6, *parts)
+
+    @staticmethod
+    def _player(cohort, user):
+        """The outcome columns of user's games, as lists."""
+        i = cohort.users.index(user)
+        a, b = cohort.bounds[i], cohort.bounds[i + 1]
+        return [c[a:b].tolist() for c in cohort.columns]
 
     def test_29_games_excluded_at_min_30(self):
         cohort = self._cohort({"a": 29})
-        assert filter_min_games(cohort, 30) == {}
+        assert filter_min_games(cohort, 30).users == []
 
     def test_30_games_included_at_min_30(self):
         cohort = self._cohort({"a": 30})
-        assert set(filter_min_games(cohort, 30)) == {"a"}
+        assert filter_min_games(cohort, 30).users == ["a"]
 
     def test_over_max_excluded_not_truncated(self):
         # brute-force oracle: keep exactly min <= n <= max
         sizes = {f"u{i}": n for i, n in enumerate([10, 29, 30, 64, 100, 150])}
         cohort = self._cohort(sizes)
-        got = set(filter_min_games(cohort, 30, 100))
-        expect = {u for u, n in sizes.items() if 30 <= n <= 100}
-        assert got == expect
-        for u in got:
-            assert len(cohort[u].outcomes) == sizes[u]  # untouched series
+        got = filter_min_games(cohort, 30, 100)
+        assert got.users == sorted(u for u, n in sizes.items()
+                                   if 30 <= n <= 100)
+        for u in got.users:  # untouched series
+            assert self._player(got, u) == self._player(cohort, u)
+            assert len(self._player(got, u)[0]) == sizes[u]
 
     def test_identity_at_min_1(self):
         cohort = self._cohort({"a": 3, "b": 7})
-        assert filter_min_games(cohort, 1) == cohort
+        got = filter_min_games(cohort, 1)
+        assert got.users == cohort.users == ["a", "b"]
+        assert got.bounds.tolist() == cohort.bounds.tolist()
+        for u in got.users:
+            assert self._player(got, u) == self._player(cohort, u)
 
 
 
@@ -604,6 +618,28 @@ def test_lines_end_at_newline_and_cr_only(odd):
     assert set(recs.columns.game_id.tolist()) <= {
         base["game_id"], "g\n" + base["game_id"]}
     assert stats.rows_accepted == 30
+
+
+@pytest.mark.parametrize("odd", [None, "quoted"])
+@pytest.mark.parametrize("parse,base", [
+    (parse_poker_log, POKER_ROW), (parse_rummy_log, RUMMY_ROW),
+], ids=["poker", "rummy"])
+def test_leading_byte_order_mark_is_skipped(parse, base, odd):
+    """A log that opens with a UTF-8 byte-order mark, as Excel and other
+    Windows exports write, gives the columns, counts and error lines of the
+    same log without it, in plain chunks and after csv.reader takes over."""
+    log = _plain_log(base, 40, None if odd is None else 16, odd)
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+        rows, stats = parse(log)
+        marked, marked_stats = parse(codecs.BOM_UTF8 + log)
+    for name, got, expected in zip(rows.record._fields, marked.columns,
+                                   rows.columns):
+        assert got.dtype == expected.dtype, name
+        assert repr(got.tolist()) == repr(expected.tolist()), name
+    assert marked_stats.as_dict() == stats.as_dict()
+    assert [e.line for e in marked_stats.first_error_samples] == \
+        [e.line for e in stats.first_error_samples]
+    assert stats.rows_rejected >= 9 and stats.rows_accepted >= 30
 
 
 def test_error_samples_hold_no_traceback():
