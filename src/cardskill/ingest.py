@@ -6,7 +6,8 @@ has columns on every line) is split with one str.split(","); from the first
 chunk that is not plain, csv.reader reads the rest in chunks of CHUNK_ROWS
 records. Either way the chunk's column table is converted a column at a
 time, each into a numpy array: one map() per column, a dict lookup for
-enums and 0/1 flags, one parse per distinct timestamp text.
+enums and 0/1 flags, and one parse per distinct int or timestamp text where
+the chunk repeats its texts.
 records.INVARIANTS is then tested over the chunk's columns as one mask. A
 row that the column pass or the mask rejects goes to the row validator
 (records.validate_*), which alone decides it and words its error, so the
@@ -19,12 +20,13 @@ or a field longer than csv.field_size_limit() (csv.Error) aborts a parse.
 
 build_timelines codes the players, sorts all rows at once by player and
 game_start, orders tied rows by their type's fields in records.TIMELINE and
-builds every outcome from the sorted columns through assemble_timelines,
-which simgen.simulate_timelines calls too. build_cohort sorts one table-size
-bucket's rows the same way into a Cohort: the outcome columns, player by
-player, with no object per outcome. analyze and the statistics read a
-Cohort as one run of all its players, and filter_min_games takes and gives
-one.
+hands the outcome columns to assemble_timelines, which
+simgen.simulate_timelines calls too. It codes each row's outcome by the
+exact bits of its fields and builds one Outcome per distinct outcome, which
+all its rows share. build_cohort sorts one table-size bucket's rows the
+same way into a Cohort: the outcome columns, player by player, with no
+object per outcome. analyze and the statistics read a Cohort as one run of
+all its players, and filter_min_games takes and gives one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .records import (
     FIELDS,
     INVARIANTS,
     TIMELINE,
-    FieldTypeError,
     Millis,
     Outcome,
     PlayerTimeline,
@@ -157,15 +158,23 @@ def _floats(texts, bad: Set[int]) -> np.ndarray:
     return _mapped(_finite_float, float)(texts, bad)
 
 
-def _timestamps(texts, bad: Set[int]) -> np.ndarray:
-    # Logs repeat their timestamps, so each distinct text is parsed once.
-    memo = {}
-    for text in set(texts):
-        try:
-            memo[text] = parse_timestamp(text)
-        except FieldTypeError:
-            pass
-    return _mapped(memo.__getitem__)(texts, bad)
+def _parsed(parse, dtype=object) -> Callable:
+    """_mapped(parse, dtype), but parsing each distinct text once when the
+    column has at most half as many distinct texts as rows, as a few-valued
+    int column or the repeated timestamps of a log has. A text that parse
+    rejects is missing from the memo and fails the lookup."""
+    def convert(texts, bad: Set[int]):
+        distinct = set(texts)
+        if 2 * len(distinct) > len(texts):
+            return _mapped(parse, dtype)(texts, bad)
+        memo = {}
+        for text in distinct:
+            try:
+                memo[text] = parse(text)
+            except ValueError:
+                pass
+        return _mapped(memo.__getitem__, dtype)(texts, bad)
+    return convert
 
 
 def _lookup(enum_cls) -> Callable:
@@ -176,9 +185,9 @@ def _lookup(enum_cls) -> Callable:
 # takes exactly the texts that its field's row validator takes unchanged. A
 # text the validator would strip or reject sends its row to the validator.
 # Each gives the array type that Rows holds for its kind.
-_CONVERTERS = {str: _texts, float: _floats, int: _mapped(int, np.int64),
+_CONVERTERS = {str: _texts, float: _floats, int: _parsed(int, np.int64),
                bool: _mapped({"1": True, "0": False}.__getitem__, bool),
-               Millis: _timestamps}
+               Millis: _parsed(parse_timestamp)}
 
 
 def _broken(columns: Record) -> np.ndarray:
@@ -197,8 +206,9 @@ class Rows:
     """One record type's accepted rows as columns, in log order: columns is
     a record whose fields are numpy arrays. float and bool fields are of
     their own dtype and int fields int64, or objects if an int does not fit.
-    str, Enum and Millis fields hold objects; the rows of a chunk with one
-    timestamp text share its int, as do the outcomes built from them.
+    str, Enum and Millis fields hold objects; where a chunk repeats its
+    timestamp texts, the rows of one text share its int, as do the outcomes
+    built from them.
 
     len(), iteration and indexing give the records that the row validator
     gives, with the same field types.
@@ -419,18 +429,60 @@ def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
     return groups, np.bincount(code, minlength=len(groups)).tolist(), order
 
 
+def _shared_codes(won: np.ndarray, delta: np.ndarray, stamp: np.ndarray,
+                  voluntary: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A row of each distinct outcome of the rows, told apart by the exact
+    bits of their fields (so -0.0 and 0.0 differ), and each row's index
+    among them."""
+    key = np.zeros(len(won), np.int64)  # ends under 6 * rows**2
+    for column in (delta.view(np.int64), np.asarray(stamp, np.int64)):
+        # With return_inverse, np.unique sorts rather than hashes: faster.
+        values, code = np.unique(column, return_inverse=True)
+        key *= len(values)
+        key += code
+        del code
+    key *= 2
+    key += won
+    key *= 3
+    key += (voluntary if voluntary.dtype == bool else
+            np.where(np.equal(voluntary, None), 2, voluntary.astype(bool)))
+    values, code = np.unique(key, return_inverse=True)
+    first = np.empty(len(values), np.intp)
+    first[code] = np.arange(len(code))
+    return first, code
+
+
+def _blocks(rows: np.ndarray, read: Callable[[np.ndarray], list]) -> Iterator:
+    """read(part) for each OUTCOME_BLOCK rows of rows, chained."""
+    return itertools.chain.from_iterable(
+        read(rows[first:first + OUTCOME_BLOCK])
+        for first in range(0, len(rows), OUTCOME_BLOCK))
+
+
 def assemble_timelines(groups: list, counts: list, order: np.ndarray,
-                       read: Callable[[np.ndarray], tuple]) -> TimelineMap:
+                       won: np.ndarray, value_delta: np.ndarray,
+                       timestamp: np.ndarray,
+                       voluntary_entry: np.ndarray) -> TimelineMap:
     """The timelines of groups, (bucket, user_id) pairs, in order: each
-    takes the next of counts rows of order. read(rows) gives the outcome
-    columns (won, value_delta, timestamp, voluntary_entry) of an array of
-    rows as lists; it is called OUTCOME_BLOCK rows at a time."""
-    def block(first: int) -> Iterator[Outcome]:
+    takes the next of counts rows of order. The rest are the rows' outcome
+    columns: won (bool), value_delta (float), timestamp (int64, or objects
+    holding ints) and voluntary_entry (bool, or objects: True, False or
+    None). The outcomes have Python bool, float, int and None fields.
+
+    One Outcome is built per distinct outcome, from a row of it, and every
+    row of it refers to that one; both OUTCOME_BLOCK rows at a time. So
+    equal outcomes may be one object: never rely on `is`."""
+    columns = (np.asarray(won, bool), np.asarray(value_delta, np.float64),
+               np.asarray(timestamp), np.asarray(voluntary_entry))
+    first, code = _shared_codes(*columns)
+
+    def made(rows: np.ndarray) -> Iterator[Outcome]:
         # tuple.__new__ skips NamedTuple's Python-level __new__
         return map(tuple.__new__, itertools.repeat(Outcome),
-                   zip(*read(order[first:first + OUTCOME_BLOCK])))
-    outcomes = itertools.chain.from_iterable(
-        map(block, range(0, len(order), OUTCOME_BLOCK)))
+                   zip(*(c[rows].tolist() for c in columns)))
+    shared = np.fromiter(_blocks(first, made), object, len(first))
+    outcomes = _blocks(code[order], lambda rows: shared[rows].tolist())
+    del first, code
     result: TimelineMap = {}
     for (bucket, user), count in zip(groups, counts):
         result.setdefault(bucket, {})[user] = PlayerTimeline(
@@ -449,11 +501,8 @@ def build_timelines(*parts: Rows) -> TimelineMap:
     ties, outcome_columns = TIMELINE[cols.record]
     groups, counts, order = _grouped(cols, ties)
     won, delta, voluntary = outcome_columns(cols)
-    columns = (won, delta, cols.game_start, voluntary)
-
-    def read(rows: np.ndarray) -> list:
-        return [c[rows].tolist() for c in columns]
-    return assemble_timelines(groups, counts, order, read)
+    return assemble_timelines(groups, counts, order, won, delta,
+                              cols.game_start, voluntary)
 
 
 def build_cohort(table_size: int, *parts: Rows) -> Cohort:

@@ -152,6 +152,8 @@ class Outcome(NamedTuple):
 
     value_delta is in big blinds for poker (chips_won - chips_placed over
     big_blind) and in points for rummy (+winner_points or -loss_points).
+    Timelines may hold one Outcome object for many equal games: compare
+    outcomes with ==, never with `is`.
     """
 
     won: bool
@@ -175,8 +177,9 @@ class PlayerTimeline:
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore its prior state:
-    outcomes form no cycles for its passes to free. Its one caller is
-    simgen.simulate_timelines, which builds an Outcome per game."""
+    timelines form no cycles for its passes to free. Its one caller is
+    simgen.simulate_timelines, which builds a tuple and a PlayerTimeline
+    per player."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:

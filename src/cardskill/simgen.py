@@ -356,11 +356,12 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     Equal, in repr too, to the config's table-size bucket of
     build_timelines(parse_*_log(simulate(config))[0]) at a fraction of the
     cost; used for large validation cohorts. Each round's outcome columns
-    come from records.TIMELINE. They fill flat columns, from which
-    ingest.assemble_timelines builds the timelines; a player sits at most
-    one table a round, so each player's k-th row is their k-th game, and a
-    second pass over the rounds' seats writes the player-major row order.
-    The cyclic collector is paused meanwhile.
+    come from records.TIMELINE. They fill flat columns, with one start time
+    a round, from which ingest.assemble_timelines builds the timelines of
+    shared Outcomes; a player sits at most one table a round, so each
+    player's k-th row is their k-th game, and a second pass over the
+    rounds' seats writes the player-major row order. The cyclic collector,
+    which would scan each player's new tuple, is paused meanwhile.
     """
     size = config.table_size
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
@@ -374,11 +375,9 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             cols.append(outcome_columns(rec))
             starts.append(rec.game_start)
         counts = np.bincount(np.concatenate(seats), minlength=config.n_players)
-        # one stamp per table: row i is at table i // size
-        stamps = np.repeat(np.array(starts, dtype=object),
-                           [len(s) // size for s in seats])
+        stamps = np.repeat(np.array(starts, np.int64), list(map(len, seats)))
         won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
-        del cols  # freed first, the outcomes reuse their memory
+        del cols
         order = np.empty(len(won), dtype=np.intp)
         at, row = np.cumsum(counts) - counts, 0  # each player's next place
         for seat in seats:
@@ -386,11 +385,7 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             at[seat] += 1
             row += len(seat)
         del seats
-
-        def read(rows: np.ndarray) -> tuple:
-            t = rows // size
-            return (won[rows].tolist(), delta[rows].tolist(),
-                    stamps[t].tolist(), voluntary[rows].tolist())
         seen = np.flatnonzero(counts).tolist()
         return assemble_timelines([(size, users[i]) for i in seen],
-                                  counts[seen].tolist(), order, read)[size]
+                                  counts[seen].tolist(), order, won, delta,
+                                  stamps, voluntary)[size]

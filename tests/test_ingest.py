@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardskill import ingest
+from cardskill import ingest, records
 from cardskill.ingest import (
     HeaderMismatch,
     IngestStats,
@@ -174,6 +174,30 @@ def test_every_column_is_an_array(parse, log, base):
         assert column.dtype == _COLUMN_DTYPES.get(kind, object), name
 
 
+@pytest.mark.parametrize("kind,texts", [
+    (int, ["7", "x", str(2 ** 70), "-3", "", " 4"]),
+    (int, ["7", "x", "-3", "", " 4", "007"]),
+    (Millis, ["2022-12-01T10:00:00Z", "bad", "2022-12-01T10:00:00.5Z",
+              "", "2022-12-01 10:00:00", "9999-12-31T23:59:59+01:00"]),
+], ids=["int-overflow", "int", "millis"])
+@pytest.mark.parametrize("repeats", [1, 3], ids=["distinct", "repeated"])
+def test_repeated_texts_convert_as_each_text(kind, texts, repeats):
+    """An int or Millis column gives the same values, types, dtype and bad
+    rows whether its chunk repeats its texts, each then parsed once, or
+    not, each then parsed as it comes."""
+    texts = texts * repeats
+    parse = {int: int, Millis: records.parse_timestamp}[kind]
+    bad, expected_bad = set(), set()
+    column = ingest._CONVERTERS[kind](texts, bad)
+    expected = ingest._mapped(parse, _COLUMN_DTYPES[kind])(texts,
+                                                          expected_bad)
+    assert column.dtype == expected.dtype
+    assert bad == expected_bad
+    assert list(map(type, column.tolist())) == \
+        list(map(type, expected.tolist()))
+    assert column.tolist() == expected.tolist()
+
+
 def test_int_beyond_int64_in_a_later_chunk():
     """Chunks 1 and 2 of 7 rows hold int64 columns, chunk 3 a max_players
     beyond int64: the joined column holds Python ints in every chunk."""
@@ -306,6 +330,23 @@ class TestBuildTimelines:
         assert repr(outcome) == repr(rummy_outcome(recs[0]))
         assert repr(outcome.value_delta) == "-0.0"
 
+    def test_rummy_zero_points_keep_their_signs(self):
+        """A winner with winner_points 0 has value_delta 0.0 and a loser
+        with loss_points 0 has -0.0, though 0.0 == -0.0, with the outcomes
+        shared among the players."""
+        rows = [{**RUMMY_ROW, "user_id": f"u{i}", "is_winner": winner,
+                 "winner_points": "0", "loss_points": "0", "win_amt": "0"}
+                for i, winner in enumerate("1100")]
+        recs, _ = parse_rummy_log(rummy_csv(rows))
+        tls = build_timelines(recs)[6]
+        (won_a,), (won_b,), (lost_a,), (lost_b,) = (
+            tls[f"u{i}"].outcomes for i in range(4))
+        assert repr(won_a.value_delta) == "0.0"
+        assert repr(lost_a.value_delta) == "-0.0"
+        assert won_a is won_b and lost_a is lost_b
+        assert [repr(tl.outcomes[0]) for tl in tls.values()] == \
+            [repr(rummy_outcome(rec)) for rec in recs]
+
     def test_rummy_deal_number_tiebreak(self):
         rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n),
                  "winner_points": str(10 * n)} for n in (3, 1, 2)]
@@ -367,20 +408,84 @@ def test_build_matches_reference_staging(game, table_size):
         repr(_reference_timelines(recs))
 
 
-@pytest.mark.parametrize("game,table_size", [("poker", 2), ("rummy", 3)])
-def test_build_peak_memory_is_its_result(game, table_size):
-    """The build stages no per-row objects beyond the outcomes it returns:
-    its tracemalloc peak stays within 1.3x of what the result keeps."""
-    recs = _simulated(game, table_size)
-    assert len(recs) >= 19_800
+def _traced_build(recs):
+    """build_timelines(recs) and the bytes it keeps and peaks at, a row."""
     tracemalloc.start()
     try:
         timelines = build_timelines(recs)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return timelines, kept / len(recs), peak / len(recs)
+
+
+def _outcome_objects(timelines):
+    """The distinct Outcome objects of timelines, by id."""
+    return {id(o): o for tl in timelines.values() for o in tl.outcomes}
+
+
+@pytest.mark.parametrize("game,table_size", [("poker", 2), ("rummy", 3)])
+def test_build_peak_memory_is_its_result(game, table_size):
+    """The build stages no per-row objects: with their outcomes shared, the
+    timelines keep at most 80 bytes a row, where one Outcome a row keeps
+    about 114, and the build peaks at 120 at most."""
+    recs = _simulated(game, table_size)
+    assert len(recs) >= 19_800
+    timelines, kept, peak = _traced_build(recs)
     assert sum(map(len, timelines[table_size].values())) == len(recs)
-    assert peak <= 1.3 * kept
+    assert kept <= 80
+    assert peak <= 120
+
+
+def test_build_of_distinct_outcomes_peak_memory():
+    """With every outcome distinct (distinct chip amounts, distinct start
+    times), nothing is shared: the timelines keep about 114 bytes a row, as
+    with one Outcome a row, and the build peaks at 160 at most: sharing
+    stages a code and a reference a row that nothing repeated pays back."""
+    recs = _simulated("poker", 2)
+    n = len(recs)
+    cols = recs.columns
+    start = np.array(cols.game_start, np.int64)
+    start += np.random.default_rng(3).permutation(n) * 7
+    recs = Rows(recs.record, cols._replace(
+        chips_won=cols.chips_won + np.arange(n) / 64,
+        game_start=np.array(start.tolist(), object)))
+    timelines, kept, peak = _traced_build(recs)
+    assert sum(map(len, timelines[2].values())) == n
+    assert kept <= 120
+    assert peak <= 160
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(game="poker", table_size=2, n_players=200, games_per_player=100,
+              stagger_starts=True, seed=1),
+    SimConfig(game="rummy", table_size=6, n_players=600, games_per_player=60,
+              seed=3),
+], ids=["poker-2", "rummy-6"])
+def test_equal_outcomes_are_one_object(config):
+    """On simulated logs, whose outcomes repeat, the timelines hold one
+    Outcome object per distinct outcome value (-0.0 and 0.0 apart)."""
+    parse = parse_poker_log if config.game == "poker" else parse_rummy_log
+    rows, _ = parse(simulate(config)[0])
+    objects = _outcome_objects(build_timelines(rows)[config.table_size])
+    assert len({repr(o) for o in objects.values()}) == len(objects)
+    assert len(objects) < len(rows) / 4
+
+
+def test_assemble_codes_outcomes_by_their_bits():
+    """Rows equal but for 0.0 and -0.0 get two Outcomes; rows of one
+    outcome share it."""
+    n = 4
+    timelines = ingest.assemble_timelines(
+        [(2, "a"), (2, "b")], [2, 2], np.arange(n)[::-1],
+        np.zeros(n, bool), np.array([0.0, -0.0, 0.0, -0.0]),
+        np.full(n, 5, np.int64), np.broadcast_to(None, n))[2]
+    shared = [o for u in "ab" for o in timelines[u].outcomes]
+    assert [repr(o.value_delta) for o in shared] == \
+        ["-0.0", "0.0", "-0.0", "0.0"]
+    assert shared[0] is shared[2] and shared[1] is shared[3]
+    assert all(type(o.won) is bool and type(o.timestamp) is int
+               and o.voluntary_entry is None for o in shared)
 
 
 class TestFilterMinGames:
@@ -654,22 +759,6 @@ def test_error_samples_hold_no_traceback():
     for sample in stats.first_error_samples:
         assert sample.error.__traceback__ is None
         assert sample.error.__context__ is None
-
-
-def test_assemble_reads_outcome_block_rows_at_a_time():
-    """OUTCOME_BLOCK is read when the timelines are built."""
-    sizes = []
-
-    def read(rows):
-        sizes.append(len(rows))
-        return [[True] * len(rows), rows.tolist(), rows.tolist(),
-                ["g"] * len(rows), [None] * len(rows)]
-    with mock.patch.object(ingest, "OUTCOME_BLOCK", 5):
-        timelines = ingest.assemble_timelines(
-            [(2, "a"), (2, "b")], [7, 5], np.arange(12)[::-1].copy(), read)
-    assert sizes == [5, 5, 2]
-    assert [o.value_delta for o in timelines[2]["b"].outcomes] == \
-        [4, 3, 2, 1, 0]
 
 
 @pytest.mark.parametrize("block", [1, 5])

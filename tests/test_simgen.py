@@ -266,8 +266,9 @@ def test_simulate_timelines_pinned(cfg, digest):
               seed=3),
 ], ids=["poker-2", "rummy-6"])
 def test_simulate_timelines_peak_memory_is_its_result(cfg):
-    """The working columns stay small beside the timelines returned, so the
-    tracemalloc peak stays near what the result keeps."""
+    """With the outcomes shared, the timelines keep at most 50 bytes a game,
+    where one Outcome a game keeps about 117, and the working columns peak
+    at 120 at most."""
     simulate_timelines(SimConfig(n_players=4, games_per_player=2))  # imports
     tracemalloc.start()
     try:
@@ -276,7 +277,20 @@ def test_simulate_timelines_peak_memory_is_its_result(cfg):
     finally:
         tracemalloc.stop()
     assert len(timelines) == cfg.n_players
-    assert peak <= 1.3 * kept
+    games = sum(map(len, timelines.values()))
+    assert kept <= 50 * games
+    assert peak <= 120 * games
+
+
+def test_battery_cohort_holds_one_outcome_per_distinct_outcome():
+    """The 20k-player chance battery's 800k games hold 300 Outcome objects,
+    one per distinct outcome: 50 rounds, each with its start time, times 6
+    (won or lost, 1 or 5 blinds in, against 1 or 5)."""
+    timelines = simulate_timelines(SimConfig(
+        game="poker", table_size=2, n_players=20_000, games_per_player=50,
+        min_games_per_player=30, seed=1))
+    objects = {id(o): o for tl in timelines.values() for o in tl.outcomes}
+    assert len(objects) == len({repr(o) for o in objects.values()}) == 300
 
 
 class TestConfigInvalid:
