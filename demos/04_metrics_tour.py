@@ -25,9 +25,9 @@ print(f"parsed {stats.rows_accepted} hands "
       f"({stats.rows_rejected} rejected); the first: {rows[0].user_id} "
       f"won {rows[0].chips_won:g} of {rows[0].chips_placed:g} chips placed")
 
-timelines = build_timelines(rows)[6]
+timelines = build_timelines(6, rows)  # players in user-id order
 best = max(range(config.n_players), key=lambda i: truth.skills[i])
-user = sorted(timelines)[best]
+user = list(timelines)[best]
 tl = timelines[user]
 print(f"most skilled player: {user} (planted skill "
       f"{truth.skills[best]:+.2f}), {len(tl.outcomes)} hands")

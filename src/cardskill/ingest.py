@@ -18,15 +18,16 @@ still grows with the log. Rows failing validation are counted and sampled
 UTF-8 byte-order mark is skipped. Only a bad header, text that is not UTF-8
 or a field longer than csv.field_size_limit() (csv.Error) aborts a parse.
 
-build_timelines codes the players, sorts all rows at once by player and
-game_start, orders tied rows by their type's fields in records.TIMELINE and
-hands the outcome columns to assemble_timelines, which
-simgen.simulate_timelines calls too. It codes each row's outcome by the
-exact bits of its fields and builds one Outcome per distinct outcome, which
-all its rows share. build_cohort sorts one table-size bucket's rows the
-same way into a Cohort: the outcome columns, player by player, with no
-object per outcome. analyze and the statistics read a Cohort as one run of
-all its players, and filter_min_games takes and gives one.
+build_cohort and build_timelines select the rows of one table size, code
+their players in user-id order, sort the rows at once by player and
+game_start and order tied rows by their type's fields in records.TIMELINE.
+build_cohort keeps the sorted outcome columns as a Cohort, player by
+player, with no object per outcome. build_timelines hands them to
+assemble_timelines, which simgen.simulate_timelines calls too. It codes
+each row's outcome by the exact bits of its fields and builds one Outcome
+per distinct outcome, which all its rows share. analyze and the statistics
+read a Cohort as one run of all its players, and filter_min_games takes and
+gives one.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import (Callable, Dict, Iterator, List, Optional, Set, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .records import (
 ERROR_SAMPLE_LIMIT = 20
 
 TABLE_SIZE_BUCKETS = (2, 3, 6)
-OTHER_BUCKET = "other"
 
 
 class HeaderMismatch(ValueError):
@@ -350,8 +349,6 @@ def parse_rummy_log(stream) -> Tuple[Rows, IngestStats]:
     return _parse_log(stream, RummyDealRecord, validate_rummy_record)
 
 
-TimelineMap = Dict[Union[int, str], Dict[str, PlayerTimeline]]
-
 # Outcomes built from one set of Python lists: the lists' memory is bounded
 # by the block, not by the log.
 OUTCOME_BLOCK = 4096
@@ -359,7 +356,7 @@ OUTCOME_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """One table-size bucket's players as columns, with no object per
+    """The players at one table size as columns, with no object per
     outcome: users in user-id order, and player i's outcomes, in timeline
     order, at rows bounds[i]:bounds[i + 1] of columns, an Outcome whose
     fields are arrays: won (bool), value_delta (float), timestamp (int64 ms)
@@ -385,10 +382,10 @@ class Cohort:
                       Outcome._make(c[rows] for c in self.columns))
 
 
-def _coded(values: list, distinct=dict.fromkeys) -> Tuple[list, np.ndarray]:
-    """The distinct values, in order of first appearance or as distinct
-    lists them, and the index of each value among them."""
-    index = {v: i for i, v in enumerate(distinct(values))}
+def _coded(values: list) -> Tuple[list, np.ndarray]:
+    """The distinct values, sorted, and the index of each value among
+    them."""
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
     return list(index), np.fromiter(map(index.__getitem__, values), np.intp,
                                     len(values))
 
@@ -413,20 +410,23 @@ def _sorted_rows(code: np.ndarray, start: np.ndarray, cols,
     return order
 
 
-def _grouped(cols, ties: Tuple[str, ...]) -> Tuple[list, list, np.ndarray]:
-    """The (bucket, user_id) pairs of cols in order of first appearance,
-    the number of rows of each, and the order of the rows: by pair, then by
-    game_start and then by the fields named in ties, stably."""
-    # Coded from lists, so that a table size is a Python int, not np.int64.
-    sizes, size = _coded(cols.max_players.tolist())
-    buckets, bucket = _coded([s if s in TABLE_SIZE_BUCKETS else OTHER_BUCKET
-                              for s in sizes])
-    users, user = _coded(cols.user_id.tolist())
-    pairs, code = _coded((bucket[size] * len(users) + user).tolist())
-    order = _sorted_rows(code, np.array(cols.game_start, np.int64), cols, ties)
-    groups = [(buckets[p // len(users)], users[p % len(users)])
-              for p in pairs]
-    return groups, np.bincount(code, minlength=len(groups)).tolist(), order
+def _selected(table_size: int, parts: Tuple[Rows, ...]
+              ) -> Tuple[list, list, np.ndarray, np.ndarray, Outcome]:
+    """The rows of parts whose max_players is table_size: their users, in
+    user-id order, the number of rows of each, the order of the rows (by
+    user, then by game_start and then by the fields named in their type's
+    TIMELINE ties, stably, parts taken in argument order), their game_start
+    as int64, and their outcome columns in log order, as an Outcome of
+    arrays. Parts of two record types raise TypeError."""
+    keep = _Joined(parts).max_players == table_size
+    cols = _Joined(parts, None if keep.all() else keep)
+    ties, outcome_columns = TIMELINE[cols.record]
+    users, code = _coded(cols.user_id.tolist())
+    start = np.array(cols.game_start, np.int64)
+    order = _sorted_rows(code, start, cols, ties)
+    won, delta, voluntary = outcome_columns(cols)
+    return (users, np.bincount(code, minlength=len(users)).tolist(), order,
+            start, Outcome(won, delta, cols.game_start, voluntary))
 
 
 def _shared_codes(won: np.ndarray, delta: np.ndarray, stamp: np.ndarray,
@@ -459,12 +459,11 @@ def _blocks(rows: np.ndarray, read: Callable[[np.ndarray], list]) -> Iterator:
         for first in range(0, len(rows), OUTCOME_BLOCK))
 
 
-def assemble_timelines(groups: list, counts: list, order: np.ndarray,
-                       won: np.ndarray, value_delta: np.ndarray,
-                       timestamp: np.ndarray,
-                       voluntary_entry: np.ndarray) -> TimelineMap:
-    """The timelines of groups, (bucket, user_id) pairs, in order: each
-    takes the next of counts rows of order. The rest are the rows' outcome
+def assemble_timelines(table_size: int, users: list, counts: list,
+                       order: np.ndarray, columns: Outcome
+                       ) -> Dict[str, PlayerTimeline]:
+    """The table_size timelines of users, in order: each takes the next of
+    counts rows of order. columns is an Outcome of the rows' outcome
     columns: won (bool), value_delta (float), timestamp (int64, or objects
     holding ints) and voluntary_entry (bool, or objects: True, False or
     None). The outcomes have Python bool, float, int and None fields.
@@ -472,8 +471,7 @@ def assemble_timelines(groups: list, counts: list, order: np.ndarray,
     One Outcome is built per distinct outcome, from a row of it, and every
     row of it refers to that one; both OUTCOME_BLOCK rows at a time. So
     equal outcomes may be one object: never rely on `is`."""
-    columns = (np.asarray(won, bool), np.asarray(value_delta, np.float64),
-               np.asarray(timestamp), np.asarray(voluntary_entry))
+    columns = tuple(map(np.asarray, columns, (bool, np.float64, None, None)))
     first, code = _shared_codes(*columns)
 
     def made(rows: np.ndarray) -> Iterator[Outcome]:
@@ -483,43 +481,32 @@ def assemble_timelines(groups: list, counts: list, order: np.ndarray,
     shared = np.fromiter(_blocks(first, made), object, len(first))
     outcomes = _blocks(code[order], lambda rows: shared[rows].tolist())
     del first, code
-    result: TimelineMap = {}
-    for (bucket, user), count in zip(groups, counts):
-        result.setdefault(bucket, {})[user] = PlayerTimeline(
-            user, bucket, tuple(itertools.islice(outcomes, count)))
-    return result
+    return {user: PlayerTimeline(user, table_size,
+                                 tuple(itertools.islice(outcomes, count)))
+            for user, count in zip(users, counts)}
 
 
-def build_timelines(*parts: Rows) -> TimelineMap:
-    """Group rows into per-player, per-table-size timelines, each sorted
-    stably by game_start and then by its record type's fields in TIMELINE:
-    rows with equal keys keep their order, parts taken in argument order.
-    Buckets and players come in order of first appearance. Table sizes
-    outside {2, 3, 6} land in the "other" bucket. Parts of two record types
-    raise TypeError."""
-    cols = _Joined(parts)
-    ties, outcome_columns = TIMELINE[cols.record]
-    groups, counts, order = _grouped(cols, ties)
-    won, delta, voluntary = outcome_columns(cols)
-    return assemble_timelines(groups, counts, order, won, delta,
-                              cols.game_start, voluntary)
+def build_timelines(table_size: int, *parts: Rows
+                    ) -> Dict[str, PlayerTimeline]:
+    """The timelines of the players of parts at table_size, in user-id
+    order, each sorted stably by game_start and then by its record type's
+    fields in TIMELINE: rows with equal keys keep their order, parts taken
+    in argument order. They hold the outcomes of build_cohort(table_size,
+    *parts), in the same order. Parts of two record types raise
+    TypeError."""
+    users, games, order, start, columns = _selected(table_size, parts)
+    del start  # held, it would raise the peak of the outcomes' build
+    return assemble_timelines(table_size, users, games, order, columns)
 
 
 def build_cohort(table_size: int, *parts: Rows) -> Cohort:
-    """The players of build_timelines(*parts)[table_size] as a Cohort, with
-    the same outcomes in the same order: only that bucket's rows are
-    grouped and sorted, and no outcome object is built."""
-    keep = _Joined(parts).max_players == table_size
-    cols = _Joined(parts, None if keep.all() else keep)
-    ties, outcome_columns = TIMELINE[cols.record]
-    users, code = _coded(cols.user_id.tolist(), lambda v: sorted(set(v)))
-    start = np.array(cols.game_start, np.int64)
-    order = _sorted_rows(code, start, cols, ties)
-    won, delta, voluntary = outcome_columns(cols)
-    games = np.bincount(code, minlength=len(users))
-    return Cohort(users, np.concatenate(([0], np.cumsum(games))), Outcome(
-        np.asarray(won, bool)[order], np.asarray(delta)[order], start[order],
-        np.asarray(voluntary, float)[order]))
+    """The players of build_timelines(table_size, *parts) as a Cohort, with
+    the same outcomes in the same order and no outcome object built."""
+    users, games, order, start, columns = _selected(table_size, parts)
+    return Cohort(users, np.cumsum([0] + games), Outcome(
+        np.asarray(columns.won, bool)[order],
+        np.asarray(columns.value_delta)[order], start[order],
+        np.asarray(columns.voluntary_entry, float)[order]))
 
 
 def filter_min_games(cohort: Cohort, min_games: int,

@@ -162,12 +162,12 @@ class Outcome(NamedTuple):
     voluntary_entry: Optional[bool] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerTimeline:
-    """Per-player, time-ordered outcome sequence for one table-size bucket."""
+    """Per-player, time-ordered outcome sequence at one table size."""
 
     user_id: str
-    table_size: Union[int, str]
+    table_size: int
     outcomes: tuple = field(default_factory=tuple)
 
     def __len__(self) -> int:

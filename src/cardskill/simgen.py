@@ -27,10 +27,11 @@ from typing import Dict, Iterator, Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .ingest import assemble_timelines
+from .ingest import TABLE_SIZE_BUCKETS, assemble_timelines
 from .records import (
     FIELDS,
     TIMELINE,
+    Outcome,
     PlayerTimeline,
     PokerGameType,
     PokerHandRecord,
@@ -122,7 +123,7 @@ class SimConfig:
                     raise ConfigInvalid(name, f"must be {what}, got {value!r}")
         if self.game not in (POKER, RUMMY):
             raise ConfigInvalid("game", f"must be {POKER!r} or {RUMMY!r}")
-        if self.table_size not in (2, 3, 6):
+        if self.table_size not in TABLE_SIZE_BUCKETS:
             raise ConfigInvalid("table_size", "must be 2, 3, or 6")
         if self.n_players < self.table_size:
             raise ConfigInvalid("n_players", "fewer players than one table")
@@ -353,17 +354,17 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
 def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
     """Build player timelines directly from the game loop, bypassing CSV.
 
-    Equal, in repr too, to the config's table-size bucket of
-    build_timelines(parse_*_log(simulate(config))[0]) at a fraction of the
-    cost; used for large validation cohorts. Each round's outcome columns
-    come from records.TIMELINE. They fill flat columns, with one start time
-    a round, from which ingest.assemble_timelines builds the timelines of
-    shared Outcomes; a player sits at most one table a round, so each
-    player's k-th row is their k-th game, and a second pass over the
-    rounds' seats writes the player-major row order. The cyclic collector,
-    which would scan each player's new tuple, is paused meanwhile.
+    Equal, in repr and in player (user-id) order too, to
+    build_timelines(config.table_size, parse_*_log(simulate(config))[0]) at
+    a fraction of the cost; used for large validation cohorts. Each round's
+    outcome columns come from records.TIMELINE. They fill flat columns,
+    with one start time a round, from which ingest.assemble_timelines
+    builds the timelines of shared Outcomes; a player sits at most one
+    table a round, so each player's k-th row is their k-th game, and a
+    second pass over the rounds' seats writes the player-major row order.
+    The cyclic collector, which would scan each player's new tuple, is
+    paused meanwhile.
     """
-    size = config.table_size
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
     with gc_paused():
         skills, quotas, offsets = _planted(config)
@@ -386,6 +387,6 @@ def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
             row += len(seat)
         del seats
         seen = np.flatnonzero(counts).tolist()
-        return assemble_timelines([(size, users[i]) for i in seen],
-                                  counts[seen].tolist(), order, won, delta,
-                                  stamps, voluntary)[size]
+        return assemble_timelines(config.table_size, users[seen],
+                                  counts[seen].tolist(), order,
+                                  Outcome(won, delta, stamps, voluntary))

@@ -74,9 +74,9 @@ def _battery(cohort, games, metric):
     for c in SHAPES])
 def test_cohort_holds_the_timelines(config):
     rows = _parsed(config)
-    timelines = build_timelines(rows)[config.table_size]
+    timelines = build_timelines(config.table_size, rows)
     cohort = build_cohort(config.table_size, rows)
-    assert cohort.users == sorted(timelines)
+    assert cohort.users == list(timelines)
     assert cohort.games().tolist() == [len(timelines[u]) for u in cohort.users]
     flat = [o for u in cohort.users for o in timelines[u].outcomes]
     for name in Outcome._fields:
@@ -96,7 +96,7 @@ def test_statistics_agree_bit_for_bit(config, block):
     min/max games filter; STAT_BLOCK as is, or 64 so that the timelines'
     runs end inside the cohort."""
     rows = _parsed(config)
-    timelines = build_timelines(rows)[config.table_size]
+    timelines = build_timelines(config.table_size, rows)
     cohort = build_cohort(config.table_size, rows)
     patch = (nullcontext() if block is None
              else mock.patch.object(stattests, "STAT_BLOCK", block))
@@ -134,9 +134,9 @@ def test_two_buckets_and_tied_rows():
     log_b = [row("a", "g4", 6, 3), row("c", "g3", 2, 4), row("a", "g0", 6, 1)]
     parts = [parse_poker_log(_poker_log(log))[0] for log in (log_a, log_b)]
     for size in (2, 6):
-        timelines = build_timelines(*parts)[size]
+        timelines = build_timelines(size, *parts)
         cohort = build_cohort(size, *parts)
-        assert cohort.users == sorted(timelines)
+        assert cohort.users == list(timelines)
         flat = [o for u in cohort.users for o in timelines[u].outcomes]
         for name in Outcome._fields:
             assert repr(getattr(cohort.columns, name).tolist()) == \

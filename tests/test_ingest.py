@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardskill import ingest, records
+from cardskill import ingest, metrics, records
 from cardskill.ingest import (
     HeaderMismatch,
     IngestStats,
@@ -25,6 +25,7 @@ from cardskill.records import (
     POKER_COLUMNS,
     RUMMY_COLUMNS,
     Millis,
+    Outcome,
     PlayerTimeline,
     PokerHandRecord,
     RecordError,
@@ -154,7 +155,7 @@ def test_rows_read_as_the_validator_records():
     assert repr(list(rows)) == repr(expect)
     assert [repr(rows[i]) for i in (0, 1, 2, -1)] == \
         [repr(r) for r in expect + expect[-1:]]
-    assert len(build_timelines(rows)["other"]["u1"]) == 1
+    assert len(build_timelines(2**63, rows)["u1"]) == 1
 
 
 # The dtype of each field kind's Rows column; an Enum's is object.
@@ -253,7 +254,7 @@ class TestBuildTimelines:
         rows = [{**row, "chips_won": won} for row, won
                 in zip(_poker_rows("a", 3), ("0", "30", "12"))]
         recs, _ = parse_poker_log(poker_csv(rows[::-1]))
-        outcomes = build_timelines(recs)[6]["a"].outcomes
+        outcomes = build_timelines(6, recs)["a"].outcomes
         stamps = [o.timestamp for o in outcomes]
         assert stamps == sorted(stamps) and len(set(stamps)) == 3
         assert [o.value_delta for o in outcomes] == [-5.0, 10.0, 1.0]
@@ -264,38 +265,47 @@ class TestBuildTimelines:
             {**POKER_ROW, "game_id": "g1"},
         ]
         recs, _ = parse_poker_log(poker_csv(rows))
-        tls = build_timelines(recs)
+        tls = build_timelines(6, recs)
         # g1 (-5 bb) before g2 (+10 bb)
-        assert [o.value_delta for o in tls[6]["u1"].outcomes] == [-5.0, 10.0]
+        assert [o.value_delta for o in tls["u1"].outcomes] == [-5.0, 10.0]
 
     def test_two_users_two_timelines(self):
         recs, _ = parse_poker_log(
             poker_csv(_poker_rows("a", 2) + _poker_rows("b", 2))
         )
-        tls = build_timelines(recs)
-        assert set(tls[6]) == {"a", "b"}
+        tls = build_timelines(6, recs)
+        assert set(tls) == {"a", "b"}
 
     def test_permutation_invariance(self):
         rows = _poker_rows("a", 5) + _poker_rows("b", 4)
         recs, _ = parse_poker_log(poker_csv(rows))
-        base = build_timelines(recs)
+        base = build_timelines(6, recs)
         rng = random.Random(3)
         for _ in range(5):
             shuffled = list(recs)
             rng.shuffle(shuffled)
-            assert build_timelines(_rows(shuffled)) == base
+            assert build_timelines(6, _rows(shuffled)) == base
 
-    def test_odd_table_size_goes_to_other_bucket(self):
+    def test_odd_table_size_is_selected_alone(self):
+        """A table size outside {2, 3, 6} is selected like any other: its
+        timelines hold build_cohort's players and outcomes at that size."""
         row = {**POKER_ROW, "max_players": "9", "num_players": "9"}
-        recs, _ = parse_poker_log(poker_csv([row]))
-        tls = build_timelines(recs)
-        assert "other" in tls and 6 not in tls
+        recs, _ = parse_poker_log(poker_csv(
+            [row, POKER_ROW, {**row, "user_id": "u0", "chips_won": "30"}]))
+        tls = build_timelines(9, recs)
+        assert list(tls) == ["u0", "u1"] and list(build_timelines(6, recs)) \
+            == ["u1"] and build_timelines(3, recs) == {}
+        assert [tl.table_size for tl in tls.values()] == [9, 9]
+        cohort = build_cohort(9, recs)
+        assert cohort.users == list(tls)
+        assert cohort.columns.value_delta.tolist() == \
+            [o.value_delta for tl in tls.values() for o in tl.outcomes]
 
     def test_outcome_count_matches_accepted(self):
         rows = _poker_rows("a", 5) + [{**POKER_ROW, "big_blind": "0"}]
         recs, stats = parse_poker_log(poker_csv(rows))
-        tls = build_timelines(recs)
-        total = sum(len(tl.outcomes) for b in tls.values() for tl in b.values())
+        tls = build_timelines(6, recs)
+        total = sum(len(tl.outcomes) for tl in tls.values())
         assert total == stats.rows_accepted
 
     def test_equal_keys_keep_input_order(self):
@@ -305,7 +315,7 @@ class TestBuildTimelines:
         recs = list(parse_poker_log(poker_csv(rows))[0])
         for order in (recs, recs[::-1]):
             deltas = [o.value_delta for o
-                      in build_timelines(_rows(order))[6]["u1"].outcomes]
+                      in build_timelines(6, _rows(order))["u1"].outcomes]
             assert deltas == [poker_outcome(r).value_delta for r in order]
 
     def test_split_log_keeps_ties_in_order(self):
@@ -317,16 +327,17 @@ class TestBuildTimelines:
         whole, _ = parse_poker_log(poker_csv(rows))
         first, _ = parse_poker_log(poker_csv(rows[:2]))
         rest, _ = parse_poker_log(poker_csv(rows[2:]))
-        assert repr(build_timelines(first, rest)) == repr(build_timelines(whole))
+        assert repr(build_timelines(6, first, rest)) == \
+            repr(build_timelines(6, whole))
         deltas = [o.value_delta
-                  for o in build_timelines(rest, first)[6]["u1"].outcomes]
+                  for o in build_timelines(6, rest, first)["u1"].outcomes]
         assert deltas[:3] == [1.0, -5.0, 10.0]  # rest's tie, then first's
 
     def test_rummy_loser_without_points_has_negative_zero(self):
         row = {**RUMMY_ROW, "is_winner": "0", "winner_points": "0",
                "win_amt": "0"}
         recs, _ = parse_rummy_log(rummy_csv([row]))
-        (outcome,) = build_timelines(recs)[6]["u1"].outcomes
+        (outcome,) = build_timelines(6, recs)["u1"].outcomes
         assert repr(outcome) == repr(rummy_outcome(recs[0]))
         assert repr(outcome.value_delta) == "-0.0"
 
@@ -338,7 +349,7 @@ class TestBuildTimelines:
                  "winner_points": "0", "loss_points": "0", "win_amt": "0"}
                 for i, winner in enumerate("1100")]
         recs, _ = parse_rummy_log(rummy_csv(rows))
-        tls = build_timelines(recs)[6]
+        tls = build_timelines(6, recs)
         (won_a,), (won_b,), (lost_a,), (lost_b,) = (
             tls[f"u{i}"].outcomes for i in range(4))
         assert repr(won_a.value_delta) == "0.0"
@@ -351,38 +362,40 @@ class TestBuildTimelines:
         rows = [{**RUMMY_ROW, "deal_id": f"d{n}", "deal_number": str(n),
                  "winner_points": str(10 * n)} for n in (3, 1, 2)]
         recs, _ = parse_rummy_log(rummy_csv(rows))
-        tls = build_timelines(recs)
-        assert [o.value_delta for o in tls[6]["u1"].outcomes] == \
+        tls = build_timelines(6, recs)
+        assert [o.value_delta for o in tls["u1"].outcomes] == \
             [10.0, 20.0, 30.0]
 
     def test_player_with_poker_and_rummy_records_raises(self):
         poker, _ = parse_poker_log(poker_csv([POKER_ROW]))
         rummy, _ = parse_rummy_log(rummy_csv([RUMMY_ROW]))
         with pytest.raises(TypeError, match="one record type"):
-            build_timelines(poker, rummy)
+            build_timelines(6, poker, rummy)
         # the same user_id at another table size is another timeline
         three, _ = parse_poker_log(poker_csv(
             [{**POKER_ROW, "max_players": "3", "num_players": "3"}]))
-        tls = build_timelines(poker, three)
-        assert len(tls[6]["u1"]) == len(tls[3]["u1"]) == 1
+        six, three = (build_timelines(size, poker, three)["u1"]
+                      for size in (6, 3))
+        assert len(six) == len(three) == 1
+        assert (six.table_size, three.table_size) == (6, 3)
 
 
-def _reference_timelines(records):
-    """The (sort key, outcome) staging that build_timelines replaced."""
+def _reference_timelines(records, table_size):
+    """The (sort key, outcome) staging that build_timelines replaced, over
+    the records at table_size, players in user-id order."""
     staged = {}
     for rec in records:
+        if rec.max_players != table_size:
+            continue
         if isinstance(rec, PokerHandRecord):
             key, outcome = (rec.game_start, rec.game_id, 0), poker_outcome(rec)
         else:
             key = (rec.game_start, rec.game_id, rec.deal_number)
             outcome = rummy_outcome(rec)
-        bucket = rec.max_players if rec.max_players in (2, 3, 6) else "other"
-        staged.setdefault(bucket, {}).setdefault(rec.user_id, []).append(
-            (key, outcome))
-    return {bucket: {user_id: PlayerTimeline(user_id, bucket, tuple(
+        staged.setdefault(rec.user_id, []).append((key, outcome))
+    return {user_id: PlayerTimeline(user_id, table_size, tuple(
         o for _, o in sorted(keyed, key=lambda kv: kv[0])))
-        for user_id, keyed in players.items()}
-        for bucket, players in staged.items()}
+        for user_id, keyed in sorted(staged.items())}
 
 
 def _simulated(game, table_size, n_players=200, seed=1):
@@ -396,7 +409,9 @@ def _simulated(game, table_size, n_players=200, seed=1):
 @pytest.mark.parametrize("game,table_size", [("poker", 6), ("rummy", 3)])
 def test_build_matches_reference_staging(game, table_size):
     """Shuffled simulated records with odd table sizes and tied order keys
-    give the reference's timelines: equal values, types and order."""
+    give the reference's timelines at either size: equal values, types and
+    order, players in user-id order. The odd size's timelines hold the
+    players and outcomes of build_cohort at that size."""
     recs = list(_simulated(game, table_size, n_players=30, seed=4))
     rng = random.Random(7)
     recs += [r._replace(max_players=9) for r in rng.sample(recs, 40)]
@@ -404,15 +419,24 @@ def test_build_matches_reference_staging(game, table_size):
     game_id = rng.choice(recs).game_id
     recs += [r._replace(user_id="tied") for r in recs if r.game_id == game_id]
     rng.shuffle(recs)
-    assert repr(build_timelines(_rows(recs))) == \
-        repr(_reference_timelines(recs))
+    rows = _rows(recs)
+    for size in (table_size, 9):
+        timelines = build_timelines(size, rows)
+        assert repr(timelines) == repr(_reference_timelines(recs, size))
+    cohort = build_cohort(9, rows)
+    assert cohort.users == list(timelines)
+    flat = [o for tl in timelines.values() for o in tl.outcomes]
+    for name in Outcome._fields:
+        assert repr(getattr(cohort.columns, name).tolist()) == \
+            repr(metrics.column(flat, name).tolist()), name
 
 
-def _traced_build(recs):
-    """build_timelines(recs) and the bytes it keeps and peaks at, a row."""
+def _traced_build(table_size, recs):
+    """build_timelines(table_size, recs) and the bytes it keeps and peaks
+    at, a row."""
     tracemalloc.start()
     try:
-        timelines = build_timelines(recs)
+        timelines = build_timelines(table_size, recs)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -431,8 +455,8 @@ def test_build_peak_memory_is_its_result(game, table_size):
     about 114, and the build peaks at 120 at most."""
     recs = _simulated(game, table_size)
     assert len(recs) >= 19_800
-    timelines, kept, peak = _traced_build(recs)
-    assert sum(map(len, timelines[table_size].values())) == len(recs)
+    timelines, kept, peak = _traced_build(table_size, recs)
+    assert sum(map(len, timelines.values())) == len(recs)
     assert kept <= 80
     assert peak <= 120
 
@@ -450,8 +474,8 @@ def test_build_of_distinct_outcomes_peak_memory():
     recs = Rows(recs.record, cols._replace(
         chips_won=cols.chips_won + np.arange(n) / 64,
         game_start=np.array(start.tolist(), object)))
-    timelines, kept, peak = _traced_build(recs)
-    assert sum(map(len, timelines[2].values())) == n
+    timelines, kept, peak = _traced_build(2, recs)
+    assert sum(map(len, timelines.values())) == n
     assert kept <= 120
     assert peak <= 160
 
@@ -467,7 +491,7 @@ def test_equal_outcomes_are_one_object(config):
     Outcome object per distinct outcome value (-0.0 and 0.0 apart)."""
     parse = parse_poker_log if config.game == "poker" else parse_rummy_log
     rows, _ = parse(simulate(config)[0])
-    objects = _outcome_objects(build_timelines(rows)[config.table_size])
+    objects = _outcome_objects(build_timelines(config.table_size, rows))
     assert len({repr(o) for o in objects.values()}) == len(objects)
     assert len(objects) < len(rows) / 4
 
@@ -477,9 +501,9 @@ def test_assemble_codes_outcomes_by_their_bits():
     outcome share it."""
     n = 4
     timelines = ingest.assemble_timelines(
-        [(2, "a"), (2, "b")], [2, 2], np.arange(n)[::-1],
-        np.zeros(n, bool), np.array([0.0, -0.0, 0.0, -0.0]),
-        np.full(n, 5, np.int64), np.broadcast_to(None, n))[2]
+        2, ["a", "b"], [2, 2], np.arange(n)[::-1], Outcome(
+            np.zeros(n, bool), np.array([0.0, -0.0, 0.0, -0.0]),
+            np.full(n, 5, np.int64), np.broadcast_to(None, n)))
     shared = [o for u in "ab" for o in timelines[u].outcomes]
     assert [repr(o.value_delta) for o in shared] == \
         ["-0.0", "0.0", "-0.0", "0.0"]
@@ -776,10 +800,9 @@ def test_outcome_blocks_split_anywhere(block, config):
     data, _ = simulate(config)
     parse = parse_poker_log if config.game == "poker" else parse_rummy_log
     rows, _ = parse(data)
-    expected = {u: repr(tl) for u, tl in
-                _reference_timelines(list(rows))[config.table_size].items()}
+    expected = repr(_reference_timelines(list(rows), config.table_size))
     with mock.patch.object(ingest, "OUTCOME_BLOCK", block):
-        built = build_timelines(rows)[config.table_size]
+        built = build_timelines(config.table_size, rows)
         direct = simulate_timelines(config)
-    assert {u: repr(tl) for u, tl in built.items()} == expected
-    assert {u: repr(tl) for u, tl in direct.items()} == expected
+    assert repr(built) == expected
+    assert repr(direct) == expected

@@ -223,12 +223,12 @@ def test_simulated_timelines_match_csv_path(cfg):
     data, _ = simulate(cfg)
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
     recs, _ = parse(data)
-    via_csv = build_timelines(recs)[cfg.table_size]
+    via_csv = build_timelines(cfg.table_size, recs)
     direct = simulate_timelines(cfg)
     assert via_csv == direct
-    # repr tells -0.0 from 0.0, which == does not
-    assert {u: repr(tl) for u, tl in via_csv.items()} == \
-        {u: repr(tl) for u, tl in direct.items()}
+    # repr tells -0.0 from 0.0, which == does not; the lists, dict order
+    assert [(u, repr(tl)) for u, tl in via_csv.items()] == \
+        [(u, repr(tl)) for u, tl in direct.items()]
     assert list(direct) == sorted(direct)
     # dataclass == lets numpy scalars pass for Python ones; reports do not
     flag = bool if cfg.game == "poker" else type(None)
@@ -414,7 +414,7 @@ def test_simulated_log_round_trips(cfg):
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
     rows, stats = parse(data)
     assert stats.rows_rejected == 0
-    via_csv = build_timelines(rows)[cfg.table_size]
+    via_csv = build_timelines(cfg.table_size, rows)
     direct = simulate_timelines(cfg)
-    assert {u: repr(tl) for u, tl in via_csv.items()} == \
-        {u: repr(tl) for u, tl in direct.items()}
+    assert [(u, repr(tl)) for u, tl in via_csv.items()] == \
+        [(u, repr(tl)) for u, tl in direct.items()]

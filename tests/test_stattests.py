@@ -842,8 +842,12 @@ def chance_16k():
 
 
 class TestMemoryGuard:
-    """The tests read the cohort in blocks: their traced peak stays far
-    below the cohort's own size (about 100 MB of outcome objects)."""
+    """The tests read the cohort in blocks: their traced peak stays under
+    10 MiB (measured: about 5.1 MiB for persistence and 3.4 MiB for the
+    learning curve). The cohort itself keeps about 7.6 MiB, as its 640k
+    games share 300 Outcome objects; one float column over its games would
+    take 4.9 MiB, and a copy of its outcomes, one object a game, about
+    70 MiB."""
 
     @staticmethod
     def _peak(fn):
