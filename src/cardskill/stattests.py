@@ -5,20 +5,20 @@ disjoint time periods, with a seeded bootstrap CI. Learning: least-squares
 power-law and exponential fits to the cohort-mean metric across experience
 bins. Normality: a QQ comparison of per-player win rates, as z-scores,
 against standard normal quantiles. classify() combines the three into a
-verdict, with every threshold recorded in the report. Each test takes the
-cohort as an ingest.Cohort, whose columns it reads whole, as one run, or as
-timelines by user id, whose outcomes it reads a run of players at a time.
+verdict, with every threshold recorded in the report. Each test reads the
+cohort as one run of its players in user order: an ingest.Cohort is its
+own run, and timelines by user id become one list of their outcomes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from calendar import monthrange
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +75,6 @@ WORSENING = "Worsening"
 
 # Index values the persistence bootstrap draws at once (at least one row).
 BOOT_BLOCK = 1 << 16
-STAT_BLOCK = 1 << 16  # outcomes of timelines the tests read at once
 ALPHA_BOUNDS = (1e-8, 50.0)  # the curve fits' range of alpha
 FIT_GRID = 128  # alphas a pass; each pass narrows log(hi/lo) 63.5-fold,
 FIT_PASSES = 7  # so from 22 to 5e-12
@@ -259,58 +258,50 @@ def _month_bounds_ms(ms: int) -> Tuple[int, int]:
     return floor, floor + monthrange(day.year, day.month)[1] * _DAY_MS
 
 
-def _blocks(cohort: Cohorts) -> Iterator[Tuple[List[str], np.ndarray,
-                                                object]]:
-    """The players in user order, in runs of whole players: (user ids,
-    bounds, run), player i at run[bounds[i]:bounds[i + 1]]. A Cohort is one
-    run, itself, as its columns are in memory already; timelines come in
-    lists of their outcomes, a run ending once it holds STAT_BLOCK."""
+def _run(cohort: Cohorts) -> Tuple[List[str], np.ndarray, object]:
+    """The players in user order as one run: (user ids, bounds, run),
+    player i at run[bounds[i]:bounds[i + 1]]. A Cohort is its own run, as
+    its columns are in memory already; timelines become one list of their
+    outcomes."""
     if isinstance(cohort, Cohort):
-        yield cohort.users, cohort.bounds, cohort
-        return
-    users, flat, bounds = [], [], [0]
-    for i, user_id in enumerate(sorted(cohort), 1):
-        users.append(user_id)
-        flat.extend(cohort[user_id].outcomes)
-        bounds.append(len(flat))
-        if len(flat) >= STAT_BLOCK or i == len(cohort):
-            yield users, np.array(bounds), flat
-            users, flat, bounds = [], [], [0]
+        return cohort.users, cohort.bounds, cohort
+    users, run, bounds = sorted(cohort), [], [0]
+    for user_id in users:
+        run.extend(cohort[user_id].outcomes)
+        bounds.append(len(run))
+    return users, np.array(bounds), run
 
 
 def player_values(cohort: Cohorts,
                   metric: str) -> Dict[str, Optional[float]]:
     """METRICS[metric] over each player's whole timeline, by user id in
-    user order, read in the runs of _blocks."""
-    segments = METRICS[metric].segments
-    values: Dict[str, Optional[float]] = {}
-    for users, bounds, run in _blocks(cohort):
-        values.update(zip(users, segments(
-            Segments(run, bounds[:-1], bounds[1:]))))
-    return values
+    user order."""
+    users, bounds, run = _run(cohort)
+    return dict(zip(users, METRICS[metric].segments(
+        Segments(run, bounds[:-1], bounds[1:]))))
 
 
-def resolve_split(
-    cohort: Cohorts,
-    split: Union[int, str] = "month",
-) -> int:
-    """Split timestamp (ms). An int is used verbatim. "month": the
-    calendar-month boundary nearest the midpoint of the observed range, or
-    the midpoint itself when that boundary falls outside the range."""
-    if isinstance(split, int):
-        return split
+def _split_ms(split: Union[int, str], stamps: np.ndarray) -> int:
+    """The split timestamp (ms) of resolve_split, over the given stamps."""
+    if isinstance(split, numbers.Integral) and not isinstance(split, bool):
+        return int(split)
     if split != "month":
         raise ValueError(f"unknown split rule: {split!r}")
-    stamps = (column(run, "timestamp") for _, bounds, run in _blocks(cohort)
-              if bounds[-1])
-    ends = [f(ts) for ts in stamps for f in (np.min, np.max)]
-    if not ends:
+    if not len(stamps):
         raise InsufficientPlayers("no outcomes to split")
-    lo, hi = int(min(ends)), int(max(ends))
+    lo, hi = int(stamps.min()), int(stamps.max())
     mid = (lo + hi) // 2
     floor, ceil = _month_bounds_ms(mid)
     snapped = floor if mid - floor <= ceil - mid else ceil
     return snapped if lo < snapped <= hi else mid
+
+
+def resolve_split(cohort: Cohorts, split: Union[int, str] = "month") -> int:
+    """Split timestamp (ms). An integer (not a bool) is used as int(split).
+    "month": the calendar-month boundary nearest the midpoint of the
+    observed range, or the midpoint itself when that boundary falls outside
+    the range."""
+    return _split_ms(split, column(_run(cohort)[2], "timestamp"))
 
 
 def persistence_test(
@@ -322,57 +313,48 @@ def persistence_test(
     seed: int = 0,
 ) -> PersistenceResult:
     """Correlate a per-player skill variable across the two periods either
-    side of the split, over players with >= min_games in each period and
-    the metric defined in both. Timelines need not be in time order.
+    side of the split (resolve_split), over players with >= min_games in
+    each period and the metric defined in both. Timelines need not be in
+    time order.
 
-    Players are read in the runs of _blocks and the percentile CI comes
-    from n_boot resamples of the players, drawn in blocks of about
-    BOOT_BLOCK values, so memory beyond the input and the result is O(run +
-    BOOT_BLOCK), not O(n_boot x players); the draws and the CI equal one
-    n_boot x players draw from the same seed."""
+    The players are read as one run, and the percentile CI comes from
+    n_boot resamples of the players, drawn in blocks of about BOOT_BLOCK
+    values, so memory is O(outcomes + BOOT_BLOCK), not O(n_boot x
+    players); the draws and the CI equal one n_boot x players draw from
+    the same seed."""
     if n_boot < 1:
         raise ValueError("n_boot must be >= 1")
+    if min_games < 1:
+        raise ValueError("min_games must be >= 1")
     metric_fn = METRICS[metric]
-    split_ms = resolve_split(cohort, split)
-
-    users_paired: List[str] = []
-    xs: List[float] = []
-    ys: List[float] = []
-    enough = 0  # players with min_games in both periods
-    spans = []  # per block: first and last stamp of its pairs in A, then B
-    for users, bounds, run in _blocks(cohort):
-        ts = column(run, "timestamp")
-        in_b = ts >= split_ms
-        player = np.repeat(np.arange(len(users)), np.diff(bounds))
-        # A stable sort on (player, period) keeps each player's outcomes at
-        # bounds[i]:bounds[i + 1], period A before period B, each in
-        # timeline order.
-        order = np.argsort(2 * player + in_b, kind="stable")
-        mid = bounds[1:] - np.bincount(player[in_b], minlength=len(users))
-        q = np.nonzero((mid - bounds[:-1] >= min_games)
-                       & (bounds[1:] - mid >= min_games))[0]
-        enough += len(q)
-        values = metric_fn.segments(Segments(
-            run, np.concatenate((bounds[q], mid[q])),
-            np.concatenate((mid[q], bounds[q + 1])), order))
-        paired = np.zeros(len(users), dtype=bool)
-        for i, a, b in zip(q.tolist(), values, values[len(q):]):
-            if a is not None and b is not None:
-                users_paired.append(users[i])
-                xs.append(a)
-                ys.append(b)
-                paired[i] = True
-        if paired.any():
-            ta, tb = ts[paired[player] & ~in_b], ts[paired[player] & in_b]
-            spans.append((ta.min(), ta.max(), tb.min(), tb.max()))
-
-    n = len(users_paired)
+    users, bounds, run = _run(cohort)
+    ts = column(run, "timestamp")
+    in_b = ts >= _split_ms(split, ts)
+    player = np.repeat(np.arange(len(users)), np.diff(bounds))
+    # A stable sort on (player, period) keeps each player's outcomes at
+    # bounds[i]:bounds[i + 1], period A before period B, each in timeline
+    # order.
+    order = np.argsort(2 * player + in_b, kind="stable")
+    mid = bounds[1:] - np.bincount(player[in_b], minlength=len(users))
+    q = np.nonzero((mid - bounds[:-1] >= min_games)
+                   & (bounds[1:] - mid >= min_games))[0]
+    values = metric_fn.segments(Segments(
+        run, np.concatenate((bounds[q], mid[q])),
+        np.concatenate((mid[q], bounds[q + 1])), order))
+    pairs = [(i, a, b) for i, a, b in zip(q.tolist(), values,
+                                          values[len(q):])
+             if a is not None and b is not None]
+    n = len(pairs)
     if n < 3:
         raise InsufficientPlayers(
-            f"only {n} players qualify: {enough} have >= "
-            f"{min_games} games in both periods, and {enough - n} "
+            f"only {n} players qualify: {len(q)} have >= "
+            f"{min_games} games in both periods, and {len(q) - n} "
             f"of those have {metric} undefined in a period"
         )
+    paired, xs, ys = zip(*pairs)
+    users_paired = [users[i] for i in paired]
+    in_pair = np.isin(np.arange(len(users)), paired)[player]
+    ta, tb = ts[in_pair & ~in_b], ts[in_pair & in_b]
     xs, ys = np.array(xs), np.array(ys)
     for i in np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))[:1]:
         raise StatTestError(f"{metric} of player {users_paired[i]!r} in "
@@ -401,8 +383,8 @@ def persistence_test(
     return PersistenceResult(
         r=r,
         n_players=n,
-        period_a=(int(min(s[0] for s in spans)), int(max(s[1] for s in spans))),
-        period_b=(int(min(s[2] for s in spans)), int(max(s[3] for s in spans))),
+        period_a=(int(ta.min()), int(ta.max())),
+        period_b=(int(tb.min()), int(tb.max())),
         min_games=min_games,
         bootstrap_ci95=(lo, hi),
         metric=metric,
@@ -477,26 +459,25 @@ def learning_curve_test(
 
     Bin b covers each player's games (b*w, (b+1)*w]; only players with the
     full bin contribute, and bins where the metric is undefined for every
-    player emit no point. Players are read in the runs of _blocks: memory
-    is O(run) plus one value per (player, bin).
+    player emit no point. The players are read as one run: memory is
+    O(run) plus one value per (player, bin).
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
     if not cohort:
         raise InsufficientPlayers("empty cohort")
     metric_fn = METRICS[metric]
+    _, bounds, run = _run(cohort)
+    # player i's bin b is the segment of bin_width from bounds[i] + b*w
+    n_bins = np.diff(bounds) // bin_width
+    bins = np.arange(n_bins.sum()) - np.repeat(n_bins.cumsum() - n_bins,
+                                               n_bins)
+    starts = np.repeat(bounds[:-1], n_bins) + bins * bin_width
+    values = metric_fn.segments(Segments(run, starts, starts + bin_width))
     vals: Dict[int, List[float]] = defaultdict(list)  # by bin, in user order
-    for _, bounds, run in _blocks(cohort):
-        # player i's bin b is the segment of bin_width from bounds[i] + b*w
-        n_bins = np.diff(bounds) // bin_width
-        bins = np.arange(n_bins.sum()) - np.repeat(n_bins.cumsum() - n_bins,
-                                                   n_bins)
-        starts = np.repeat(bounds[:-1], n_bins) + bins * bin_width
-        values = metric_fn.segments(Segments(run, starts,
-                                             starts + bin_width))
-        for b, v in zip(bins.tolist(), values):
-            if v is not None:
-                vals[b].append(v)
+    for b, v in zip(bins.tolist(), values):
+        if v is not None:
+            vals[b].append(v)
     points = [(b + 1, sum(v) / len(v)) for b, v in sorted(vals.items())]
     if not points:
         raise InsufficientPlayers("no complete experience bins")

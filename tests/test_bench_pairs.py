@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+from unittest import mock
 
 import pytest
 
@@ -118,3 +121,33 @@ def test_fewer_than_one_pair_exits_2(tmp_path, capsys, pairs):
     assert exc.value.code == 2
     assert "--pairs" in capsys.readouterr().err
     assert not out.exists()
+
+
+
+def _stub_run(failures):
+    """subprocess.run stubbed to a perfbench run that exits 0 with a record
+    listing the given failed checks, and that record."""
+    record = {"fail_ratio": len(failures) / 3, "failures": failures,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    done = subprocess.CompletedProcess(
+        [], 0, stdout="perfbench w\nrecord " + json.dumps(record) + "\n",
+        stderr="")
+    return mock.patch.object(bench_pairs.subprocess, "run",
+                             return_value=done), record
+
+
+def test_a_run_with_no_failed_check_gives_its_record():
+    stub, record = _stub_run([])
+    with stub:
+        assert bench_pairs.run_once("dir", "w", 1, 2.0) == record
+
+
+def test_a_run_with_failed_checks_exits_1(capsys):
+    """perfbench/run.py exits 0 when its checks fail and lists them in the
+    record; such a run stops the script as a non-zero exit does."""
+    stub, _ = _stub_run(["classify: r 0.5 != 0.4"])
+    with stub, pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once("dir", "w", 1, 2.0)
+    # a message as the exit code exits 1
+    assert exc.value.code == "error: w in dir failed 1 benchmark checks"
+    assert "FAILED classify: r 0.5 != 0.4" in capsys.readouterr().err

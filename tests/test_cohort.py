@@ -3,12 +3,12 @@ the same players and outcomes, and bit-identical statistics from either."""
 
 import json
 import math
-from contextlib import nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from cardskill import cli, ingest, stattests
+from cardskill import cli, ingest
 from cardskill.cli import EXIT_OK
 from cardskill.ingest import (
     Cohort,
@@ -86,31 +86,63 @@ def test_cohort_holds_the_timelines(config):
         assert repr(got.tolist()) == repr(expected.tolist()), name
 
 
-@pytest.mark.parametrize("block", [None, 64])
 @pytest.mark.parametrize("config", SHAPES, ids=[
     f"{c.game}-{c.table_size}{'-staggered' * c.stagger_starts}"
     for c in SHAPES])
-def test_statistics_agree_bit_for_bit(config, block):
+def test_statistics_agree_bit_for_bit(config):
     """The three tests, player_values and quantile_summary, from the
     Cohort and from build_timelines' mapping, before and after the
-    min/max games filter; STAT_BLOCK as is, or 64 so that the timelines'
-    runs end inside the cohort."""
+    min/max games filter."""
     rows = _parsed(config)
     timelines = build_timelines(config.table_size, rows)
     cohort = build_cohort(config.table_size, rows)
-    patch = (nullcontext() if block is None
-             else mock.patch.object(stattests, "STAT_BLOCK", block))
-    with patch:
-        for metric in METRICS:
-            for low, high in ((1, None), (20, 30)):
-                kept = filter_min_games(cohort, low, high)
-                kept_map = {u: tl for u, tl in timelines.items()
-                            if low <= len(tl) <= (high or math.inf)}
-                assert isinstance(kept, Cohort)
-                assert kept.users == sorted(kept_map)
-                assert _battery(kept, kept.games().tolist(), metric) == \
-                    _battery(kept_map, [len(kept_map[u]) for u in
-                                        sorted(kept_map)], metric)
+    for metric in METRICS:
+        for low, high in ((1, None), (20, 30)):
+            kept = filter_min_games(cohort, low, high)
+            kept_map = {u: tl for u, tl in timelines.items()
+                        if low <= len(tl) <= (high or math.inf)}
+            assert isinstance(kept, Cohort)
+            assert kept.users == sorted(kept_map)
+            assert _battery(kept, kept.games().tolist(), metric) == \
+                _battery(kept_map, [len(kept_map[u]) for u in
+                                    sorted(kept_map)], metric)
+
+
+@pytest.fixture(scope="module")
+def both_forms():
+    """One simulated cohort as timelines and as a Cohort."""
+    config = SHAPES[0]
+    rows = _parsed(config)
+    return {"timelines": build_timelines(config.table_size, rows),
+            "cohort": build_cohort(config.table_size, rows)}
+
+
+@pytest.mark.parametrize("form", ["timelines", "cohort"])
+@pytest.mark.parametrize("min_games", [0, -1])
+def test_min_games_below_one_is_a_value_error(both_forms, form, min_games):
+    with pytest.raises(ValueError, match="min_games must be >= 1"):
+        persistence_test(both_forms[form], min_games=min_games)
+
+
+@pytest.mark.parametrize("form", ["timelines", "cohort"])
+def test_split_is_any_integer_but_a_bool(both_forms, form):
+    cohort = both_forms[form]
+    split = resolve_split(cohort)
+    assert type(split) is int
+    numpy_split = resolve_split(cohort, np.int64(split))
+    assert (type(numpy_split), numpy_split) == (int, split)
+
+    def fields(split):
+        res = persistence_test(cohort, split=split, min_games=5, n_boot=50)
+        return repr((res.as_dict(), res.users, res.values_a.tolist(),
+                     res.values_b.tolist()))
+
+    assert fields(np.int64(split)) == fields(split)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="unknown split rule"):
+            resolve_split(cohort, flag)
+        with pytest.raises(ValueError, match="unknown split rule"):
+            persistence_test(cohort, split=flag)
 
 
 def _poker_log(rows):

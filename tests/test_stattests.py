@@ -1,7 +1,6 @@
 import gc
 import math
 import tracemalloc
-from contextlib import contextmanager
 from functools import lru_cache
 from unittest import mock
 
@@ -691,37 +690,24 @@ def _cohorts(draw, stamps=st.one_of(st.integers(SPLIT_MS - 5, SPLIT_MS + 4),
         stamps, 14, draw(sizes))))) for u in users}
 
 
-@contextmanager
-def _stat_block(block):
-    """STAT_BLOCK patched to block, or left alone for None."""
-    if block is None:
-        yield
-    else:
-        with mock.patch.object(stattests, "STAT_BLOCK", block):
-            yield
-
-
 def _constant_fit(xs, ys):
     return CurveFitResult(0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 class TestSegmentForm:
     """persistence_test and learning_curve_test against the old loops, on
-    drawn cohorts, with STAT_BLOCK as is or patched to 1 or 5 outcomes so
-    that the cohort spans many blocks."""
+    drawn cohorts."""
 
     @settings(max_examples=200, deadline=None)
     @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
-           min_games=st.integers(1, 3), block=st.sampled_from([None, 1, 5]))
-    def test_persistence_pairs_and_spans(self, cohort, metric, min_games,
-                                         block):
+           min_games=st.integers(1, 3))
+    def test_persistence_pairs_and_spans(self, cohort, metric, min_games):
         pairs, period_a, period_b = _reference_split(cohort, SPLIT_MS, metric,
                                                      min_games)
 
         def run():
-            with _stat_block(block):
-                return persistence_test(cohort, split=SPLIT_MS, metric=metric,
-                                        min_games=min_games, n_boot=200)
+            return persistence_test(cohort, split=SPLIT_MS, metric=metric,
+                                    min_games=min_games, n_boot=200)
 
         if len(pairs) < 3:
             with pytest.raises(InsufficientPlayers):
@@ -742,12 +728,10 @@ class TestSegmentForm:
         assert all(type(t) is int for t in res.period_a + res.period_b)
 
     @settings(max_examples=100, deadline=None)
-    @given(cohort=_cohorts(st.integers(1669852800000, 1675209600000)),
-           block=st.sampled_from([None, 1, 5]))
-    def test_month_split(self, cohort, block):
+    @given(cohort=_cohorts(st.integers(1669852800000, 1675209600000)))
+    def test_month_split(self, cohort):
         stamps = [o.timestamp for tl in cohort.values() for o in tl.outcomes]
-        with _stat_block(block):
-            got = outcome_of(stattests.resolve_split, cohort)
+        got = outcome_of(stattests.resolve_split, cohort)
         if not stamps:
             assert got is InsufficientPlayers
             return
@@ -759,10 +743,9 @@ class TestSegmentForm:
 
     @settings(max_examples=200, deadline=None)
     @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
-           bin_width=st.integers(1, 4), block=st.sampled_from([None, 1, 5]))
-    def test_learning_points(self, cohort, metric, bin_width, block):
-        with _stat_block(block), \
-                mock.patch.object(stattests, "fit_power", _constant_fit), \
+           bin_width=st.integers(1, 4))
+    def test_learning_points(self, cohort, metric, bin_width):
+        with mock.patch.object(stattests, "fit_power", _constant_fit), \
                 mock.patch.object(stattests, "fit_exponential",
                                   _constant_fit):
             got = outcome_of(lambda: learning_curve_test(
@@ -775,25 +758,22 @@ class TestSegmentForm:
             assert got is InsufficientPlayers
 
     @settings(max_examples=200, deadline=None)
-    @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
-           block=st.sampled_from([None, 1, 5]))
-    def test_player_values(self, cohort, metric, block):
-        with _stat_block(block):
-            got = outcome_of(player_values, cohort, metric)
+    @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)))
+    def test_player_values(self, cohort, metric):
+        got = outcome_of(player_values, cohort, metric)
         assert got == outcome_of(lambda: {
             u: METRICS[metric](cohort[u].outcomes) for u in sorted(cohort)})
 
 
 @pytest.mark.parametrize("game", ["poker", "rummy"])
 def test_player_values_of_simulated_cohorts(game):
-    """Every metric of each player over runs of 64 outcomes, None (rummy
-    tightness; a player who never lost) included, bit for bit."""
+    """Every metric of each player, None (rummy tightness; a player who
+    never lost) included, bit for bit."""
     cohort = simulate_timelines(SimConfig(
         game=game, table_size=3, n_players=30, games_per_player=20,
         min_games_per_player=3, mode="skill", skill_sd=2.0, seed=4))
     for metric, fn in METRICS.items():
-        with _stat_block(64):
-            got = player_values(cohort, metric)
+        got = player_values(cohort, metric)
         expected = {u: fn(cohort[u].outcomes) for u in sorted(cohort)}
         assert list(got) == list(expected)
         assert repr(got) == repr(expected)
@@ -842,12 +822,15 @@ def chance_16k():
 
 
 class TestMemoryGuard:
-    """The tests read the cohort in blocks: their traced peak stays under
-    10 MiB (measured: about 5.1 MiB for persistence and 3.4 MiB for the
-    learning curve). The cohort itself keeps about 7.6 MiB, as its 640k
-    games share 300 Outcome objects; one float column over its games would
-    take 4.9 MiB, and a copy of its outcomes, one object a game, about
-    70 MiB."""
+    """The tests read the cohort as one run: their traced peak stays under
+    64 B an outcome, 39 MiB here (measured: 31.7 MiB for persistence and
+    17.3 MiB for the learning curve, against 4.85 and 3.41 MiB when they
+    read it in runs of 2**16 outcomes). The cohort itself keeps about
+    7.6 MiB, as its 640k games share 300 Outcome objects; one float column
+    over its games takes 4.9 MiB, and a copy of its outcomes, one object a
+    game, about 70 MiB."""
+
+    OUTCOMES = 640_000
 
     @staticmethod
     def _peak(fn):
@@ -859,13 +842,13 @@ class TestMemoryGuard:
             tracemalloc.stop()
 
     def test_persistence_peak(self, chance_16k):
-        assert sum(len(tl) for tl in chance_16k.values()) == 640_000
+        assert sum(len(tl) for tl in chance_16k.values()) == self.OUTCOMES
         peak = self._peak(lambda: persistence_test(chance_16k, min_games=10))
-        assert peak < 10 * 2**20
+        assert peak < 64 * self.OUTCOMES
 
     def test_learning_peak(self, chance_16k):
         peak = self._peak(lambda: learning_curve_test(chance_16k))
-        assert peak < 10 * 2**20
+        assert peak < 64 * self.OUTCOMES
 
     def test_results_keep_columns_not_objects(self, chance_16k):
         """A persistence and a QQ result keep their per-player data as

@@ -23,8 +23,8 @@ is true when the change read better in at least nine tenths of the pairs
 and its median is better than the parent's by more than the parent's
 interquartile range, which a claimed gain needs.
 The file is rewritten after every run, so an interruption loses only the
-run in progress. A run that exits non-zero or prints no record line stops
-the script with exit 1.
+run in progress. A run that exits non-zero, prints no record line or
+records failed benchmark checks stops the script with exit 1.
 """
 
 from __future__ import annotations
@@ -55,7 +55,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"error: {workload} in {checkout} exited "
                          f"{proc.returncode}")
-    return json.loads(records[-1])
+    record = json.loads(records[-1])
+    if record["failures"]:
+        sys.stderr.write("".join(f"FAILED {f}\n" for f in record["failures"]))
+        raise SystemExit(f"error: {workload} in {checkout} failed "
+                         f"{len(record['failures'])} benchmark checks")
+    return record
 
 
 def _spread(values: List[float]) -> dict:
