@@ -86,26 +86,52 @@ def test_cohort_holds_the_timelines(config):
         assert repr(got.tolist()) == repr(expected.tolist()), name
 
 
+def _pieces(games, block):
+    """Keep masks over the players in user order: one of them all when
+    block is None, else runs of whole players, each ending once it holds
+    block outcomes, so that most pieces end inside the cohort."""
+    if block is None:
+        yield np.ones(len(games), bool)
+        return
+    start, held = 0, 0
+    for i, n in enumerate(games.tolist()):
+        held += n
+        if held >= block or i == len(games) - 1:
+            keep = np.zeros(len(games), bool)
+            keep[start:i + 1] = True
+            yield keep
+            start, held = i + 1, 0
+
+
+@pytest.mark.parametrize("block", [None, 64])
 @pytest.mark.parametrize("config", SHAPES, ids=[
     f"{c.game}-{c.table_size}{'-staggered' * c.stagger_starts}"
     for c in SHAPES])
-def test_statistics_agree_bit_for_bit(config):
+def test_statistics_agree_bit_for_bit(config, block):
     """The three tests, player_values and quantile_summary, from the
     Cohort and from build_timelines' mapping, before and after the
-    min/max games filter."""
+    min/max games filter; over the whole cohort, or over each piece of
+    it cut in runs of whole players of at least 64 outcomes, taken with
+    Cohort.where."""
     rows = _parsed(config)
     timelines = build_timelines(config.table_size, rows)
     cohort = build_cohort(config.table_size, rows)
-    for metric in METRICS:
-        for low, high in ((1, None), (20, 30)):
-            kept = filter_min_games(cohort, low, high)
-            kept_map = {u: tl for u, tl in timelines.items()
-                        if low <= len(tl) <= (high or math.inf)}
-            assert isinstance(kept, Cohort)
-            assert kept.users == sorted(kept_map)
-            assert _battery(kept, kept.games().tolist(), metric) == \
-                _battery(kept_map, [len(kept_map[u]) for u in
-                                    sorted(kept_map)], metric)
+    pieces = list(_pieces(cohort.games(), block))
+    assert sum(keep.sum() for keep in pieces) == len(cohort)
+    assert (len(pieces) > 1) == (block is not None)
+    for keep in pieces:
+        part = cohort.where(keep)
+        part_map = {u: timelines[u] for u in part.users}
+        for metric in METRICS:
+            for low, high in ((1, None), (20, 30)):
+                kept = filter_min_games(part, low, high)
+                kept_map = {u: tl for u, tl in part_map.items()
+                            if low <= len(tl) <= (high or math.inf)}
+                assert isinstance(kept, Cohort)
+                assert kept.users == sorted(kept_map)
+                assert _battery(kept, kept.games().tolist(), metric) == \
+                    _battery(kept_map, [len(kept_map[u]) for u in
+                                        sorted(kept_map)], metric)
 
 
 @pytest.fixture(scope="module")
