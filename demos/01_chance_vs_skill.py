@@ -5,35 +5,21 @@ The chance cohort should come out ChanceDominant (or at worst
 Inconclusive); the skill cohort should come out SkillDominant.
 """
 
-from cardskill.simgen import SimConfig, simulate_timelines
-from cardskill.stattests import (
-    classify,
-    learning_curve_test,
-    persistence_test,
-    player_values,
-    qq_test,
-)
+from cardskill.cli import battery
+from cardskill.simgen import SimConfig, simulate_cohort
 
 
 def run_battery(name, config):
-    timelines = simulate_timelines(config)
-    persistence = persistence_test(timelines, split="month", min_games=30,
-                                   seed=config.seed)
-    learning = learning_curve_test(timelines, bin_width=10)
-    rates = player_values(timelines, "win_rate")
-    normality = qq_test(list(rates.values()))
-    report = classify(persistence, learning, normality)
-
+    report = battery(simulate_cohort(config), seed=config.seed)
+    pers, learn, qq = report.persistence, report.learning, report.normality
     print(f"--- {name} ---")
-    print(f"persistence r    : {persistence.r:+.4f} "
-          f"(95% CI {persistence.bootstrap_ci95[0]:+.4f} "
-          f".. {persistence.bootstrap_ci95[1]:+.4f}, "
-          f"n={persistence.n_players})")
-    print(f"learning trend   : {learning.trend_direction} "
-          f"(preferred family: {learning.preferred})")
-    print(f"QQ normality     : consistent={normality.normal_consistent} "
-          f"(r2={normality.r_squared:.4f}, "
-          f"max dev={normality.max_abs_deviation:.3f})")
+    print(f"persistence r    : {pers.r:+.4f} "
+          f"(95% CI {pers.bootstrap_ci95[0]:+.4f} "
+          f".. {pers.bootstrap_ci95[1]:+.4f}, n={pers.n_players})")
+    print(f"learning trend   : {learn.trend_direction} "
+          f"(preferred family: {learn.preferred})")
+    print(f"QQ normality     : consistent={qq.normal_consistent} "
+          f"(r2={qq.r_squared:.4f}, max dev={qq.max_abs_deviation:.3f})")
     print(f"verdict          : {report.verdict}")
     print()
 

@@ -15,8 +15,8 @@ checked before any log is read;
 3, data: a log that is unreadable, not UTF-8, badly headed or holds a field
 over the csv module's size limit, a thresholds or config file that is not a
 JSON object, a bad threshold key or value, a failed statistic, or an --out
-that cannot be written; 4, cohort: too few players for a test after
-filtering. Any other error is a bug and keeps its traceback.
+that cannot be written; 4, cohort: no player at the table size, or too few
+for a test after filtering. Other errors are bugs and keep their tracebacks.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Union
 
 from . import __version__
 from .ingest import (  # noqa: F401 - build_timelines: see cmd_analyze
     TABLE_SIZE_BUCKETS,
+    Cohort,
     HeaderMismatch,
     build_cohort,
     build_timelines,
@@ -48,6 +49,7 @@ from .stattests import (
     InsufficientPlayers,
     StatTestError,
     TooFewPlayers,
+    VerdictReport,
     classify,
     learning_curve_test,
     persistence_test,
@@ -206,14 +208,14 @@ def cmd_ingest(args) -> int:
 
 
 def _load_thresholds(path: Optional[str]) -> Dict[str, float]:
-    th = dict(DEFAULT_THRESHOLDS)
-    for key, value in (_load_json_object(path) if path else {}).items():
-        if key not in th:
+    """The thresholds that path overrides."""
+    th = _load_json_object(path) if path else {}
+    for key, value in th.items():
+        if key not in DEFAULT_THRESHOLDS:
             raise RecordError(f"{path}: unknown threshold {key!r}", key)
         if not finite_number(value):
             raise RecordError(
                 f"{path}: {key}: must be a finite number, got {value!r}", key)
-        th[key] = value
     return th
 
 
@@ -227,6 +229,31 @@ def _distinct(paths: List[str]) -> None:
         seen[real] = path
 
 
+def battery(cohort: Cohort, *, metric: str = "win_rate",
+            split: Union[int, str] = "month", min_games: int = 30,
+            bin_width: int = 10, k: int = 10,
+            thresholds: Mapping[str, float] = DEFAULT_THRESHOLDS,
+            seed: int = 0) -> VerdictReport:
+    """analyze's battery: persistence of metric across split, its learning
+    curve, the QQ test and k-group quantile summary of win rates, and
+    classify under thresholds over the defaults. Each test is called by
+    its name here, which perfbench wraps to time it."""
+    th = {**DEFAULT_THRESHOLDS, **thresholds}
+    persistence = persistence_test(cohort, split=split, metric=metric,
+                                   min_games=min_games, seed=seed)
+    learning = learning_curve_test(cohort, metric=metric,
+                                   bin_width=bin_width,
+                                   trend_epsilon=th["trend_epsilon"])
+    rates = player_values(cohort, "win_rate")
+    normality = qq_test(list(rates.values()),
+                        threshold_r2=th["threshold_r2"],
+                        threshold_dev=th["threshold_dev"])
+    quantiles = quantile_summary(
+        list(zip(cohort.games().tolist(), rates.values())), k)
+    return classify(persistence, learning, normality, thresholds=th,
+                    quantiles=quantiles)
+
+
 def cmd_analyze(args) -> int:
     if args.min_games > args.max_games:
         raise UsageError(f"--min-games {args.min_games} is above --max-games "
@@ -238,30 +265,22 @@ def cmd_analyze(args) -> int:
     # No timeline is built (build_timelines stays bound for perfbench), and
     # the parsed rows go once the cohort holds what it needs of them.
     cohort = build_cohort(args.table_size, *parts)
+    if not cohort:
+        sizes = set().union(*(p.columns.max_players.tolist() for p in parts))
+        raise InsufficientPlayers(
+            f"no players at table size {args.table_size}; the logs hold "
+            f"table sizes: {', '.join(map(str, sorted(sizes))) or 'none'}")
     del parts
     cohort = filter_min_games(cohort, args.min_games, args.max_games)
     if not cohort:
         raise InsufficientPlayers(
             "no players left after min/max games filtering")
-
     split = (parse_timestamp(args.split_date + "-01T00:00:00Z")
              if args.split_date else "month")
-
-    persistence = persistence_test(cohort, split=split, metric=args.metric,
-                                   min_games=args.min_games, seed=args.seed)
-    learning = learning_curve_test(cohort, metric=args.metric,
-                                   bin_width=args.bin_width,
-                                   trend_epsilon=thresholds["trend_epsilon"])
-    rates = player_values(cohort, "win_rate")
-    normality = qq_test(list(rates.values()),
-                        threshold_r2=thresholds["threshold_r2"],
-                        threshold_dev=thresholds["threshold_dev"])
     k = args.quantile_groups or (10 if args.game == "poker" else 4)
-    quantiles = quantile_summary(
-        list(zip(cohort.games().tolist(), rates.values())), k)
-
-    report = classify(persistence, learning, normality,
-                      thresholds=thresholds, quantiles=quantiles)
+    report = battery(cohort, metric=args.metric, split=split,
+                     min_games=args.min_games, bin_width=args.bin_width, k=k,
+                     thresholds=thresholds, seed=args.seed)
     manifest = build_manifest(
         command_line=["cardskill"] + sys.argv[1:],
         config={

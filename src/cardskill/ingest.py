@@ -21,13 +21,13 @@ or a field longer than csv.field_size_limit() (csv.Error) aborts a parse.
 build_cohort and build_timelines select the rows of one table size, code
 their players in user-id order, sort the rows at once by player and
 game_start and order tied rows by their type's fields in records.TIMELINE.
-build_cohort keeps the sorted outcome columns as a Cohort, player by
-player, with no object per outcome. build_timelines hands them to
-assemble_timelines, which simgen.simulate_timelines calls too. It codes
-each row's outcome by the exact bits of its fields and builds one Outcome
-per distinct outcome, which all its rows share. analyze and the statistics
-read a Cohort as one run of all its players, and filter_min_games takes and
-gives one.
+build_cohort hands the sorted outcome columns to gather_cohort, which keeps
+them as a Cohort with no object per outcome, and build_timelines to
+assemble_timelines, as simgen does with the simulator's rows. The latter
+codes each row's outcome by the exact bits of its fields and builds one
+Outcome per distinct outcome, which all its rows share. analyze and the
+statistics read a Cohort as one run of all its players, and
+filter_min_games takes and gives one.
 """
 
 from __future__ import annotations
@@ -411,22 +411,22 @@ def _sorted_rows(code: np.ndarray, start: np.ndarray, cols,
 
 
 def _selected(table_size: int, parts: Tuple[Rows, ...]
-              ) -> Tuple[list, list, np.ndarray, np.ndarray, Outcome]:
-    """The rows of parts whose max_players is table_size: their users, in
-    user-id order, the number of rows of each, the order of the rows (by
-    user, then by game_start and then by the fields named in their type's
-    TIMELINE ties, stably, parts taken in argument order), their game_start
-    as int64, and their outcome columns in log order, as an Outcome of
-    arrays. Parts of two record types raise TypeError."""
+              ) -> Tuple[list, list, np.ndarray, Outcome]:
+    """The rows of parts whose max_players is table_size, as
+    assemble_timelines and gather_cohort take them: their users, in user-id
+    order, the number of rows of each, the order of the rows (by user, then
+    by game_start and then by the fields named in their type's TIMELINE
+    ties, stably, parts taken in argument order) and their outcome columns
+    in log order. Parts of two record types raise TypeError."""
     keep = _Joined(parts).max_players == table_size
     cols = _Joined(parts, None if keep.all() else keep)
     ties, outcome_columns = TIMELINE[cols.record]
     users, code = _coded(cols.user_id.tolist())
-    start = np.array(cols.game_start, np.int64)
-    order = _sorted_rows(code, start, cols, ties)
+    order = _sorted_rows(code, np.array(cols.game_start, np.int64), cols,
+                         ties)
     won, delta, voluntary = outcome_columns(cols)
     return (users, np.bincount(code, minlength=len(users)).tolist(), order,
-            start, Outcome(won, delta, cols.game_start, voluntary))
+            Outcome(won, delta, cols.game_start, voluntary))
 
 
 def _shared_codes(won: np.ndarray, delta: np.ndarray, stamp: np.ndarray,
@@ -494,19 +494,24 @@ def build_timelines(table_size: int, *parts: Rows
     in argument order. They hold the outcomes of build_cohort(table_size,
     *parts), in the same order. Parts of two record types raise
     TypeError."""
-    users, games, order, start, columns = _selected(table_size, parts)
-    del start  # held, it would raise the peak of the outcomes' build
-    return assemble_timelines(table_size, users, games, order, columns)
+    return assemble_timelines(table_size, *_selected(table_size, parts))
+
+
+def gather_cohort(users: list, counts: list, order: np.ndarray,
+                  columns: Outcome) -> Cohort:
+    """The Cohort of assemble_timelines' arguments but the table size, with
+    no outcome object built."""
+    return Cohort(users, np.cumsum([0] + counts), Outcome(
+        np.asarray(columns.won, bool)[order],
+        np.asarray(columns.value_delta)[order],
+        np.asarray(columns.timestamp, np.int64)[order],
+        np.asarray(columns.voluntary_entry, float)[order]))
 
 
 def build_cohort(table_size: int, *parts: Rows) -> Cohort:
     """The players of build_timelines(table_size, *parts) as a Cohort, with
-    the same outcomes in the same order and no outcome object built."""
-    users, games, order, start, columns = _selected(table_size, parts)
-    return Cohort(users, np.cumsum([0] + games), Outcome(
-        np.asarray(columns.won, bool)[order],
-        np.asarray(columns.value_delta)[order], start[order],
-        np.asarray(columns.voluntary_entry, float)[order]))
+    the same outcomes in the same order."""
+    return gather_cohort(*_selected(table_size, parts))
 
 
 def filter_min_games(cohort: Cohort, min_games: int,

@@ -18,13 +18,11 @@ Millis (epoch milliseconds, ISO-8601 UTC text in files) or an Enum (by value).
 from __future__ import annotations
 
 import enum
-import gc
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
-from typing import (Iterator, Mapping, NamedTuple, NewType, Optional, Union,
+from typing import (Mapping, NamedTuple, NewType, Optional, Union,
                     get_type_hints)
 
 import numpy as np
@@ -172,20 +170,6 @@ class PlayerTimeline:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, then restore its prior state:
-    timelines form no cycles for its passes to free. Its one caller is
-    simgen.simulate_timelines, which builds a tuple and a PlayerTimeline
-    per player."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
 
 
 def _fmt(x: float) -> str:

@@ -27,7 +27,8 @@ from typing import Dict, Iterator, Optional, Tuple, get_type_hints
 
 import numpy as np
 
-from .ingest import TABLE_SIZE_BUCKETS, assemble_timelines
+from .ingest import (TABLE_SIZE_BUCKETS, Cohort, assemble_timelines,
+                     gather_cohort)
 from .records import (
     FIELDS,
     TIMELINE,
@@ -40,7 +41,6 @@ from .records import (
     RummyDealRecord,
     RummyGameType,
     column_texts,
-    gc_paused,
     parse_timestamp,
 )
 
@@ -267,7 +267,7 @@ def _players(config: SimConfig) -> np.ndarray:
 def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
             quotas: np.ndarray, offsets: np.ndarray
             ) -> Iterator[Tuple[int, np.ndarray, Record]]:
-    """The matchmaking/game loop of simulate and simulate_timelines, with
+    """The matchmaking/game loop of simulate and _staged, with
     users from _players(config). Each round is (round number, seated
     players (tables, size), rec): a record of the game's type whose fields
     are the round's columns in seated.ravel() order, as numpy arrays (of
@@ -351,42 +351,45 @@ def simulate(config: SimConfig) -> Tuple[bytes, GroundTruth]:
     return data, _truth(config, skills, quotas)
 
 
-def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
-    """Build player timelines directly from the game loop, bypassing CSV.
-
-    Equal, in repr and in player (user-id) order too, to
-    build_timelines(config.table_size, parse_*_log(simulate(config))[0]) at
-    a fraction of the cost; used for large validation cohorts. Each round's
-    outcome columns come from records.TIMELINE. They fill flat columns,
-    with one start time a round, from which ingest.assemble_timelines
-    builds the timelines of shared Outcomes; a player sits at most one
-    table a round, so each player's k-th row is their k-th game, and a
-    second pass over the rounds' seats writes the player-major row order.
-    The cyclic collector, which would scan each player's new tuple, is
-    paused meanwhile.
-    """
+def _staged(config: SimConfig) -> Tuple[list, list, np.ndarray, Outcome]:
+    """The game loop's rows as assemble_timelines and gather_cohort take
+    them: the users who played, in user-id order, their row counts, the
+    player-major row order and the outcome columns, from records.TIMELINE
+    with one start time a round. A player sits at most one table a round,
+    so each player's k-th row is their k-th game, and a second pass over
+    the rounds' seats writes the row order."""
     outcome_columns = TIMELINE[RECORDS[config.game]][1]
-    with gc_paused():
-        skills, quotas, offsets = _planted(config)
-        users = _players(config)
-        seats, cols, starts = [], [], []
-        for _, seated, rec in _rounds(config, users, skills, quotas,
-                                      offsets):
-            seats.append(seated.ravel().astype(np.int32))
-            cols.append(outcome_columns(rec))
-            starts.append(rec.game_start)
-        counts = np.bincount(np.concatenate(seats), minlength=config.n_players)
-        stamps = np.repeat(np.array(starts, np.int64), list(map(len, seats)))
-        won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
-        del cols
-        order = np.empty(len(won), dtype=np.intp)
-        at, row = np.cumsum(counts) - counts, 0  # each player's next place
-        for seat in seats:
-            order[at[seat]] = np.arange(row, row + len(seat))
-            at[seat] += 1
-            row += len(seat)
-        del seats
-        seen = np.flatnonzero(counts).tolist()
-        return assemble_timelines(config.table_size, users[seen],
-                                  counts[seen].tolist(), order,
-                                  Outcome(won, delta, stamps, voluntary))
+    skills, quotas, offsets = _planted(config)
+    users = _players(config)
+    seats, cols, starts = [], [], []
+    for _, seated, rec in _rounds(config, users, skills, quotas, offsets):
+        seats.append(seated.ravel().astype(np.int32))
+        cols.append(outcome_columns(rec))
+        starts.append(rec.game_start)
+    counts = np.bincount(np.concatenate(seats), minlength=config.n_players)
+    stamps = np.repeat(np.array(starts, np.int64), list(map(len, seats)))
+    won, delta, voluntary = (np.concatenate(c) for c in zip(*cols))
+    del cols
+    order = np.empty(len(won), dtype=np.intp)
+    at, row = np.cumsum(counts) - counts, 0  # each player's next place
+    for seat in seats:
+        order[at[seat]] = np.arange(row, row + len(seat))
+        at[seat] += 1
+        row += len(seat)
+    del seats
+    seen = np.flatnonzero(counts).tolist()
+    return (users[seen].tolist(), counts[seen].tolist(), order,
+            Outcome(won, delta, stamps, voluntary))
+
+
+def simulate_timelines(config: SimConfig) -> Dict[str, PlayerTimeline]:
+    """Player timelines straight from the game loop, bypassing CSV: equal,
+    in repr and in player (user-id) order too, to
+    build_timelines(config.table_size, parse_*_log(simulate(config))[0])."""
+    return assemble_timelines(config.table_size, *_staged(config))
+
+
+def simulate_cohort(config: SimConfig) -> Cohort:
+    """The players of simulate_timelines(config) as a Cohort, equal to
+    build_cohort(config.table_size, parse_*_log(simulate(config))[0])."""
+    return gather_cohort(*_staged(config))

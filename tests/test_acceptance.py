@@ -14,20 +14,16 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
-from cardskill.cli import main as cli_main
-from cardskill.ingest import build_timelines, parse_poker_log
+from cardskill.cli import battery, main as cli_main
+from cardskill.ingest import parse_poker_log
 from cardskill.metrics import percentile_position, rank_average, \
     theoretical_quantile
-from cardskill.simgen import SimConfig, ground_truth, simulate, \
-    simulate_timelines
+from cardskill.simgen import SimConfig, ground_truth, simulate_cohort
 from cardskill.stattests import (
     SKILL_DOMINANT,
-    classify,
     fit_exponential,
     fit_power,
-    learning_curve_test,
     pearson,
-    persistence_test,
     player_values,
     qq_test,
     quantile_summary,
@@ -40,22 +36,13 @@ def _report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _battery(timelines, seed):
-    p = persistence_test(timelines, split="month", min_games=30, seed=seed)
-    l = learning_curve_test(timelines, bin_width=10)
-    q = qq_test(list(player_values(timelines, "win_rate").values()))
-    return p, l, q
-
-
 @pytest.fixture(scope="module")
 def chance_2p():
     cfg = SimConfig(game="poker", table_size=2, n_players=10_000,
                     games_per_player=100, mode="chance", seed=42)
     t0 = time.monotonic()
-    tls = simulate_timelines(cfg)
-    p, l, q = _battery(tls, seed=42)
-    elapsed = time.monotonic() - t0
-    return p, l, q, elapsed
+    report = battery(simulate_cohort(cfg), seed=42)
+    return report, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -64,13 +51,12 @@ def skill_2p():
                     games_per_player=100, mode="skill", skill_sd=0.8,
                     learning_curve="power", learning_b=0.6,
                     learning_alpha=0.5, stagger_starts=True, seed=11)
-    tls = simulate_timelines(cfg)
-    return _battery(tls, seed=11)
+    return battery(simulate_cohort(cfg), seed=11)
 
 
 def test_criterion_1_null_model_soundness(chance_2p):
-    p, l, q, elapsed = chance_2p
-    verdict = classify(p, l, q).verdict
+    report, elapsed = chance_2p
+    p, verdict = report.persistence, report.verdict
     ok = (abs(p.r) < 0.05
           and p.bootstrap_ci95[0] <= 0.0 <= p.bootstrap_ci95[1]
           and verdict != SKILL_DOMINANT
@@ -80,26 +66,26 @@ def test_criterion_1_null_model_soundness(chance_2p):
 
 
 def test_criterion_2_skill_model_detection(skill_2p):
-    p, l, q = skill_2p
-    verdict = classify(p, l, q).verdict
+    p, verdict = skill_2p.persistence, skill_2p.verdict
     ok = p.r > 0.5 and verdict == SKILL_DOMINANT
-    _report(2, ok, f"r={p.r:.3f}, trend={l.trend_direction}, "
-                   f"qq_consistent={q.normal_consistent}, verdict={verdict}")
+    _report(2, ok, f"r={p.r:.3f}, trend={skill_2p.learning.trend_direction}, "
+                   f"qq_consistent={skill_2p.normality.normal_consistent}, "
+                   f"verdict={verdict}")
 
 
 def test_criterion_3_heads_up_oracle():
     cfg = SimConfig(game="poker", table_size=2, n_players=2,
                     games_per_player=100_000, mode="skill", skill_sd=0.8,
                     skill_overrides=(0.8, 0.0), seed=3)
-    tls = simulate_timelines(cfg)
-    tl = tls[sorted(tls)[0]]
-    empirical = sum(o.won for o in tl.outcomes) / len(tl.outcomes)
+    cohort = simulate_cohort(cfg)
+    won = cohort.columns.won[:cohort.bounds[1]].tolist()
+    empirical = sum(won) / len(won)
     expected = math.exp(0.8) / (math.exp(0.8) + 1.0)
     truth = ground_truth(cfg)
     assert truth.heads_up_probability(0.8, 0.0) == pytest.approx(expected)
     ok = abs(empirical - expected) <= 0.01
     _report(3, ok, f"empirical={empirical:.4f} vs closed-form "
-                   f"{expected:.4f} over {len(tl.outcomes)} games")
+                   f"{expected:.4f} over {len(won)} games")
 
 
 def test_criterion_4_learning_curve_recovery():
@@ -166,9 +152,9 @@ def test_criterion_7_chance_6p_quantile_structure():
     cfg = SimConfig(game="rummy", table_size=6, n_players=2400,
                     games_per_player=100, mode="chance",
                     min_games_per_player=30, seed=7)
-    tls = simulate_timelines(cfg)
-    players = [(len(tl.outcomes), sum(o.won for o in tl.outcomes)
-                / len(tl.outcomes)) for _, tl in sorted(tls.items())]
+    cohort = simulate_cohort(cfg)
+    players = list(zip(cohort.games().tolist(),
+                       player_values(cohort, "win_rate").values()))
     summary = quantile_summary(players, 4)
     means_ok = all(abs(m - 1 / 6) < 0.01 for _, m, _ in summary.groups)
     stds = [s for _, _, s in summary.groups]

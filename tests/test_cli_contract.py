@@ -259,6 +259,19 @@ def test_undefined_metric_is_named_apart_from_too_few_games(tmp_path, capsys):
     assert exit_code(argv) == EXIT_OK
 
 
+def test_empty_table_size_names_the_sizes_the_logs_hold(tmp_path, capsys):
+    """A heads-up log analyzed at the default table size, 6, fails on the
+    table size, not on the games filter."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(BASE_LOG)
+    argv = ["analyze", str(path), "--game", "poker",
+            "--out", str(tmp_path / "out")]
+    assert exit_code(argv) == EXIT_COHORT
+    assert capsys.readouterr().err == (
+        "error: no players at table size 6; the logs hold table sizes: 2\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("pos,bom", [
     (300, b""), (30000, b""), (30000, codecs.BOM_UTF8),
 ], ids=["first-8KiB", "beyond-8KiB", "beyond-8KiB-bom"])

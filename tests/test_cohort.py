@@ -20,8 +20,15 @@ from cardskill.ingest import (
 )
 from cardskill.metrics import METRICS, column
 from cardskill.records import Outcome
-from cardskill.simgen import SimConfig, simulate
+from cardskill.simgen import (
+    SimConfig,
+    simulate,
+    simulate_cohort,
+    simulate_timelines,
+)
 from cardskill.stattests import (
+    DEFAULT_THRESHOLDS,
+    classify,
     learning_curve_test,
     persistence_test,
     player_values,
@@ -73,17 +80,48 @@ def _battery(cohort, games, metric):
     f"{c.game}-{c.table_size}{'-staggered' * c.stagger_starts}"
     for c in SHAPES])
 def test_cohort_holds_the_timelines(config):
+    """build_cohort holds build_timelines' outcomes, and simulate_cohort
+    equals build_cohort on the simulated log."""
     rows = _parsed(config)
     timelines = build_timelines(config.table_size, rows)
     cohort = build_cohort(config.table_size, rows)
     assert cohort.users == list(timelines)
     assert cohort.games().tolist() == [len(timelines[u]) for u in cohort.users]
     flat = [o for u in cohort.users for o in timelines[u].outcomes]
+    direct = simulate_cohort(config)
+    assert direct.users == cohort.users
+    assert direct.bounds.dtype == cohort.bounds.dtype
+    assert direct.bounds.tolist() == cohort.bounds.tolist()
     for name in Outcome._fields:
         got = getattr(cohort.columns, name)
         expected = column(flat, name)
         assert got.dtype == expected.dtype, name
         assert repr(got.tolist()) == repr(expected.tolist()), name
+        simulated = getattr(direct.columns, name)
+        assert simulated.dtype == got.dtype, name
+        assert repr(simulated.tolist()) == repr(got.tolist()), name
+
+
+@pytest.mark.parametrize("config", [SHAPES[1], SHAPES[10]],
+                         ids=["poker-2-staggered", "rummy-6"])
+def test_battery_is_the_hand_assembly(config):
+    """cli.battery on simulate_cohort gives the report that the three tests
+    and classify, put together by hand as analyze did, give on
+    simulate_timelines."""
+    timelines = simulate_timelines(config)
+    th = DEFAULT_THRESHOLDS
+    rates = player_values(timelines, "win_rate")
+    expected = classify(
+        persistence_test(timelines, split="month", min_games=5, seed=4),
+        learning_curve_test(timelines, bin_width=6,
+                            trend_epsilon=th["trend_epsilon"]),
+        qq_test(list(rates.values()), threshold_r2=th["threshold_r2"],
+                threshold_dev=th["threshold_dev"]),
+        thresholds=th, quantiles=quantile_summary(
+            [(len(timelines[u]), r) for u, r in rates.items()], 4))
+    got = cli.battery(simulate_cohort(config), min_games=5, bin_width=6,
+                      k=4, seed=4)
+    assert repr(got.as_dict()) == repr(expected.as_dict())
 
 
 def _pieces(games, block):

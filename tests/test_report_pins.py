@@ -22,15 +22,7 @@ import pytest
 
 from cardskill import cli, report
 from cardskill.report import build_manifest, write_reports
-from cardskill.simgen import SimConfig, simulate, simulate_timelines
-from cardskill.stattests import (
-    classify,
-    learning_curve_test,
-    persistence_test,
-    player_values,
-    qq_test,
-    quantile_summary,
-)
+from cardskill.simgen import SimConfig, simulate, simulate_cohort
 
 POKER_2 = SimConfig(game="poker", table_size=2, n_players=200,
                     games_per_player=80, mode="skill", skill_sd=0.5,
@@ -102,23 +94,9 @@ CASES = {
 
 
 def _battery(out: str) -> None:
-    """analyze's battery on POKER_2's timelines, with a fixed manifest."""
-    cohort = simulate_timelines(POKER_2)
-    th = cli.DEFAULT_THRESHOLDS
-    persistence = persistence_test(cohort, split="month", min_games=30,
-                                   seed=5)
-    learning = learning_curve_test(cohort, bin_width=10,
-                                   trend_epsilon=th["trend_epsilon"])
-    rates = player_values(cohort, "win_rate")
-    normality = qq_test(list(rates.values()),
-                        threshold_r2=th["threshold_r2"],
-                        threshold_dev=th["threshold_dev"])
-    quantiles = quantile_summary(
-        [(len(cohort[u]), r) for u, r in rates.items()], 10)
-    verdict = classify(persistence, learning, normality, thresholds=th,
-                       quantiles=quantiles)
-    write_reports(out, verdict, build_manifest(
-        ["cardskill"], {"seed": 5}, [], 5, 0, 1))
+    """cli.battery on POKER_2's cohort, with a fixed manifest."""
+    write_reports(out, cli.battery(simulate_cohort(POKER_2), seed=5),
+                  build_manifest(["cardskill"], {"seed": 5}, [], 5, 0, 1))
 
 
 def _run(case: str) -> dict:
