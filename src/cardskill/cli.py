@@ -15,8 +15,9 @@ checked before any log is read;
 3, data: a log that is unreadable, not UTF-8, badly headed or holds a field
 over the csv module's size limit, a thresholds or config file that is not a
 JSON object, a bad threshold key or value, a failed statistic, or an --out
-that cannot be written; 4, cohort: no player at the table size, or too few
-for a test after filtering. Other errors are bugs and keep their tracebacks.
+that cannot be written; 4, cohort: no player at the table size, too few for
+a test after filtering, or a split that leaves a period without outcomes.
+Other errors are bugs and keep their tracebacks.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .stattests import (
     DEFAULT_THRESHOLDS,
     InsufficientPlayers,
     StatTestError,
-    TooFewPlayers,
     VerdictReport,
     classify,
     learning_curve_test,
@@ -68,9 +68,9 @@ class UsageError(ValueError):
     """Arguments that argparse accepts but that do not go together."""
 
 
-# First match wins: the two cohort errors are StatTestErrors too.
+# First match wins: the cohort error is a StatTestError too.
 EXIT_CODES = (
-    ((InsufficientPlayers, TooFewPlayers), EXIT_COHORT),
+    ((InsufficientPlayers,), EXIT_COHORT),
     ((ConfigInvalid, UsageError), EXIT_USAGE),
     ((HeaderMismatch, RecordError, StatTestError, MetricError, OSError,
       json.JSONDecodeError, UnicodeDecodeError), EXIT_DATA),
@@ -234,22 +234,23 @@ def battery(cohort: Cohort, *, metric: str = "win_rate",
             bin_width: int = 10, k: int = 10,
             thresholds: Mapping[str, float] = DEFAULT_THRESHOLDS,
             seed: int = 0) -> VerdictReport:
-    """analyze's battery: persistence of metric across split, its learning
-    curve, the QQ test and k-group quantile summary of win rates, and
-    classify under thresholds over the defaults. Each test is called by
-    its name here, which perfbench wraps to time it."""
+    """analyze's battery: the QQ test and k-group quantile summary of win
+    rates, persistence of metric across split, its learning curve, and
+    classify under thresholds over the defaults. The two quick tests run
+    first, so a cohort too small for them fails before the bootstrap. Each
+    test is called by its name here, which perfbench wraps to time it."""
     th = {**DEFAULT_THRESHOLDS, **thresholds}
-    persistence = persistence_test(cohort, split=split, metric=metric,
-                                   min_games=min_games, seed=seed)
-    learning = learning_curve_test(cohort, metric=metric,
-                                   bin_width=bin_width,
-                                   trend_epsilon=th["trend_epsilon"])
     rates = player_values(cohort, "win_rate")
     normality = qq_test(list(rates.values()),
                         threshold_r2=th["threshold_r2"],
                         threshold_dev=th["threshold_dev"])
     quantiles = quantile_summary(
         list(zip(cohort.games().tolist(), rates.values())), k)
+    persistence = persistence_test(cohort, split=split, metric=metric,
+                                   min_games=min_games, seed=seed)
+    learning = learning_curve_test(cohort, metric=metric,
+                                   bin_width=bin_width,
+                                   trend_epsilon=th["trend_epsilon"])
     return classify(persistence, learning, normality, thresholds=th,
                     quantiles=quantiles)
 

@@ -56,10 +56,12 @@ SPAN_MS = 62 * 86_400_000  # Dec 2022 + Jan 2023
 GAME_DURATION_MS = 60_000
 RECORDS = {POKER: PokerHandRecord, RUMMY: RummyDealRecord}
 # Rummy loss points: Normal(POINTS_MU - POINTS_SKILL_COEFF * skill, POINTS_SD),
-# rounded and clamped to points_cap.
+# rounded and clamped to POINTS_CAP (low, high), at VALUE_PER_POINT each.
 POINTS_MU, POINTS_SD, POINTS_SKILL_COEFF = 40.0, 10.0, 10.0
-# Poker: a player's VPIP goes from VPIP_START to VPIP_END over their games.
-VPIP_START, VPIP_END = 0.6, 0.3
+POINTS_CAP, VALUE_PER_POINT = (2, 80), 1.0
+# Poker: every hand's big blind is BIG_BLIND chips, and a player's VPIP goes
+# from VPIP_START to VPIP_END over their games.
+BIG_BLIND, VPIP_START, VPIP_END = 2.0, 0.6, 0.3
 
 
 class ConfigInvalid(ValueError):
@@ -74,23 +76,16 @@ def finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _all(test):
-    return lambda v: isinstance(v, (tuple, list)) and all(map(test, v))
-
-
 # What a field's value must be, and its test, by the field's annotation,
 # checked before the value rules; an Optional field also takes None.
 _KIND_TESTS = {
-    int: ("an integer", lambda v: _integer(v) and finite_number(v)),
+    int: ("an integer",
+          lambda v: isinstance(v, numbers.Integral) and finite_number(v)),
     float: ("a finite number", finite_number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    Tuple[int, int]: ("a pair of integers",
-                      lambda v: _all(_integer)(v) and len(v) == 2),
-    Tuple[float, ...]: ("a list of finite numbers", _all(finite_number)),
+    Tuple[float, ...]: ("a list of finite numbers",
+                        lambda v: isinstance(v, (tuple, list))
+                        and all(map(finite_number, v))),
 }
 
 
@@ -105,9 +100,6 @@ class SimConfig:
     learning_curve: str = POWER
     learning_b: float = 0.0
     learning_alpha: float = 0.5
-    points_cap: Tuple[int, int] = (2, 80)  # rummy loss points, low..high
-    value_per_point: float = 1.0
-    big_blind: float = 2.0
     # experience heterogeneity knobs
     min_games_per_player: Optional[int] = None  # spread quotas min..games
     stagger_starts: bool = False  # offset players' first games in time
@@ -146,19 +138,6 @@ class SimConfig:
                                 f"must be {POWER!r} or {EXPONENTIAL!r}")
         if self.learning_alpha <= 0:
             raise ConfigInvalid("learning_alpha", "must be > 0")
-        # a deal's winner scores up to (table_size - 1) * high, exact in floats
-        low, high = self.points_cap
-        if not 0 <= low < high <= 2**53 // (self.table_size - 1):
-            raise ConfigInvalid("points_cap", "must be 0 <= low < high <= "
-                                "2**53 / (table_size - 1)")
-        if not (self.value_per_point >= 0 and finite_number(
-                self.value_per_point * ((self.table_size - 1) * high))):
-            raise ConfigInvalid("value_per_point", "must be >= 0, with "
-                                "(table_size - 1) * high of it finite")
-        # a pot is at most 5 big blinds a seat; 10 leaves room for rounding
-        if not 0 < self.big_blind * 10 * self.table_size <= sys.float_info.max:
-            raise ConfigInvalid("big_blind", "must be > 0 and at most the "
-                                "largest float / (10 * table_size)")
         if self.min_games_per_player is not None and not (
             1 <= self.min_games_per_player <= self.games_per_player
         ):
@@ -173,10 +152,8 @@ class SimConfig:
 
     def as_dict(self) -> dict:
         """Every field but skill_overrides, in declaration order."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "skill_overrides"}
-        d["points_cap"] = list(self.points_cap)
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "skill_overrides"}
 
 
 @dataclass(frozen=True)
@@ -300,23 +277,22 @@ def _rounds(config: SimConfig, users: np.ndarray, skills: np.ndarray,
             vpip = VPIP_START + (VPIP_END - VPIP_START) * frac
             voluntary = rng.random(seated.shape) < vpip
             # everyone posts one blind; a voluntary entry adds four more
-            contrib = config.big_blind * (1.0 + 4.0 * voluntary)
+            contrib = BIG_BLIND * (1.0 + 4.0 * voluntary)
             chips_won = np.where(is_winner, contrib.sum(axis=1)[:, None], 0.0)
             rec = PokerHandRecord(
                 user, None, PokerGameType.RING,
-                PokerVariant.TEXAS_HOLDEM, config.big_blind, contrib.ravel(),
+                PokerVariant.TEXAS_HOLDEM, BIG_BLIND, contrib.ravel(),
                 chips_won.ravel(), size, size, 2, voluntary.ravel(),
                 start, end)
         else:
             raw = rng.normal(POINTS_MU - POINTS_SKILL_COEFF * eff, POINTS_SD)
-            loss = np.clip(np.rint(raw), *config.points_cap).astype(int)
+            loss = np.clip(np.rint(raw), *POINTS_CAP).astype(int)
             loss[is_winner] = 0
             won = np.where(is_winner, loss.sum(axis=1)[:, None], 0).ravel()
-            vpp = config.value_per_point  # float(): int64 products can wrap
             rec = RummyDealRecord(
-                user, None, RummyGameType.POINTS, vpp, size, size, start, end,
-                start, end, 0.0, won * float(vpp), None, 1, is_winner.ravel(),
-                won, loss.ravel())
+                user, None, RummyGameType.POINTS, VALUE_PER_POINT, size, size,
+                start, end, start, end, 0.0, won * VALUE_PER_POINT, None, 1,
+                is_winner.ravel(), won, loss.ravel())
         played[seated] += 1
         yield r, seated, rec
 

@@ -33,7 +33,7 @@ from .metrics import (
     sample_mean_std,
     theoretical_quantile,
 )
-from .records import EPOCH, PlayerTimeline
+from .records import EPOCH, PlayerTimeline, format_timestamp
 
 Cohorts = Union[Cohort, Mapping[str, PlayerTimeline]]
 
@@ -51,10 +51,6 @@ class ZeroVariance(StatTestError):
 
 
 class InsufficientPlayers(StatTestError):
-    pass
-
-
-class TooFewPlayers(StatTestError):
     pass
 
 
@@ -329,7 +325,13 @@ def persistence_test(
     metric_fn = METRICS[metric]
     users, bounds, run = _run(cohort)
     ts = column(run, "timestamp")
-    in_b = ts >= _split_ms(split, ts)
+    split_ms = _split_ms(split, ts)
+    in_b = ts >= split_ms
+    if len(ts) and (in_b.all() or not in_b.any()):
+        raise InsufficientPlayers(
+            f"split {format_timestamp(split_ms)} leaves period "
+            f"{'AB'[int(not in_b.any())]} empty: the outcomes run from "
+            f"{format_timestamp(ts.min())} to {format_timestamp(ts.max())}")
     player = np.repeat(np.arange(len(users)), np.diff(bounds))
     # A stable sort on (player, period) keeps each player's outcomes at
     # bounds[i]:bounds[i + 1], period A before period B, each in timeline
@@ -545,7 +547,8 @@ def qq_test(
     """
     n = len(win_rates)
     if n < QQ_MIN_PLAYERS:
-        raise TooFewPlayers(f"need >= {QQ_MIN_PLAYERS} players, got {n}")
+        raise InsufficientPlayers(
+            f"QQ test needs >= {QQ_MIN_PLAYERS} players, got {n}")
     values = np.sort(np.asarray(win_rates, dtype=float), kind="stable")
     mean, sd = sample_mean_std(values.tolist())
     if sd == 0.0:
@@ -581,7 +584,8 @@ def quantile_summary(
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
-        raise TooFewPlayers(f"need >= {k} players, got {n}")
+        raise InsufficientPlayers(
+            f"{k} quantile groups need >= {k} players, got {n}")
     ordered = sorted(players, key=lambda p: p[0])
     rates = [p[1] for p in ordered]
     groups = []

@@ -271,10 +271,10 @@ def test_simulate_without_flags_uses_simconfig_defaults(tmp_path):
 def test_simulate_config_file_sets_the_fields(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_players": 8, "games_per_player": 3,
-                                "points_cap": [3, 70]}))
+                                "learning_alpha": 0.75}))
     config = simulated_config(tmp_path, "--config", str(path))
     assert config == simgen.SimConfig(n_players=8, games_per_player=3,
-                                      points_cap=(3, 70)).as_dict()
+                                      learning_alpha=0.75).as_dict()
 
 
 def test_simulate_config_file_with_setting_flags_exits_2(tmp_path, capsys):

@@ -130,35 +130,39 @@ CASES = [
     ("config-stagger-starts-string", b'{"stagger_starts": "no"}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
      EXIT_USAGE, "stagger_starts"),
-    # configs whose rows ingest would reject, or whose log overflows
+    # the stakes and the loss-points cap are simgen constants, not SimConfig
+    # fields: a config that sets one exits 2 naming it
     ("config-rummy-negative-points",
      b'{"game": "rummy", "mode": "skill", "skill_sd": 2.0, "n_players": 60,'
      b' "games_per_player": 20, "points_cap": [-10, 80], "seed": 5}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "points_cap"),
+     EXIT_USAGE, "points_cap: not a SimConfig field"),
     ("config-rummy-negative-value-per-point",
      b'{"game": "rummy", "value_per_point": -0.5}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "value_per_point"),
+     EXIT_USAGE, "value_per_point: not a SimConfig field"),
+    ("config-big-blind-default", b'{"big_blind": 2}',
+     lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
+     EXIT_USAGE, "big_blind: not a SimConfig field"),
     ("config-big-blind-overflow", b'{"big_blind": 1e308}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "big_blind"),
+     EXIT_USAGE, "big_blind: not a SimConfig field"),
     ("config-rummy-value-per-point-overflow",
      b'{"game": "rummy", "value_per_point": 1e308}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "value_per_point"),
+     EXIT_USAGE, "value_per_point: not a SimConfig field"),
     ("config-rummy-points-cap-401-digits",
      b'{"game": "rummy", "points_cap": [2, 1' + b"0" * 400 + b']}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "points_cap"),
+     EXIT_USAGE, "points_cap: not a SimConfig field"),
     ("config-rummy-points-cap-fractions",
      b'{"game": "rummy", "points_cap": [2.5, 80.5]}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "points_cap"),
+     EXIT_USAGE, "points_cap: not a SimConfig field"),
     ("config-rummy-points-cap-integral-floats",
      b'{"game": "rummy", "points_cap": [2.0, 80.0]}',
      lambda p: ["simulate", "--config", p["IN"], "--out", p["OUT"]],
-     EXIT_USAGE, "points_cap"),
+     EXIT_USAGE, "points_cap: not a SimConfig field"),
     ("analyze-out-is-a-file", None,
      lambda p: _analyze(p["LOG"], p["FILE"]),
      EXIT_DATA, "FILE"),
@@ -269,6 +273,43 @@ def test_empty_table_size_names_the_sizes_the_logs_hold(tmp_path, capsys):
     assert exit_code(argv) == EXIT_COHORT
     assert capsys.readouterr().err == (
         "error: no players at table size 6; the logs hold table sizes: 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def poker_2_log(tmp_path_factory):
+    """tests/test_report_pins.py's POKER_2 log: 200 heads-up players, all
+    of whom pass the games filter, from December 2022 to January 2023."""
+    path = tmp_path_factory.mktemp("poker_2") / "poker2.csv"
+    path.write_bytes(simulate(SimConfig(
+        game="poker", table_size=2, n_players=200, games_per_player=80,
+        mode="skill", skill_sd=0.5, learning_b=0.4, stagger_starts=True,
+        seed=61))[0])
+    return str(path)
+
+
+def test_quantile_groups_fail_before_the_bootstrap(poker_2_log, tmp_path,
+                                                   capsys):
+    argv = _analyze(poker_2_log, str(tmp_path / "out"),
+                    "--quantile-groups", "500")
+    with mock.patch("cardskill.cli.persistence_test",
+                    side_effect=AssertionError("persistence_test ran")):
+        assert exit_code(argv) == EXIT_COHORT
+    assert capsys.readouterr().err == (
+        "error: 500 quantile groups need >= 500 players, got 200\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("month,empty", [("2022-12", "A"), ("2023-02", "B")])
+def test_split_outside_the_data_names_the_split(poker_2_log, tmp_path,
+                                                capsys, month, empty):
+    argv = _analyze(poker_2_log, str(tmp_path / "out"),
+                    "--split-date", month)
+    assert exit_code(argv) == EXIT_COHORT
+    assert capsys.readouterr().err == (
+        f"error: split {month}-01T00:00:00.000Z leaves period {empty} "
+        "empty: the outcomes run from 2022-12-01T00:00:00.000Z to "
+        "2023-01-31T14:42:00.000Z\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import tracemalloc
 from collections import defaultdict
 
@@ -141,17 +140,16 @@ def test_heads_up_closed_form():
     )
 
 
-# Non-integer big_blind and value_per_point take the repr() branch of the
-# number formatter; the digests pin the simulator's output bytes.
+# The digests pin the simulator's output bytes.
 POKER_6_SKILL = SimConfig(
     game="poker", table_size=6, n_players=60, games_per_player=40,
     mode="skill", skill_sd=0.8, learning_b=0.6, min_games_per_player=20,
-    stagger_starts=True, big_blind=0.3, seed=13,
+    stagger_starts=True, seed=13,
 )
 RUMMY_3_SKILL = SimConfig(
     game="rummy", table_size=3, n_players=45, games_per_player=40,
     mode="skill", skill_sd=0.5, learning_curve="exponential", learning_b=0.4,
-    stagger_starts=True, value_per_point=0.25, seed=13,
+    stagger_starts=True, seed=13,
 )
 
 
@@ -164,19 +162,19 @@ POKER_HU_SKILL = SimConfig(
 RUMMY_6_SKILL = SimConfig(
     game="rummy", table_size=6, n_players=48, games_per_player=25,
     mode="skill", skill_sd=0.6, learning_b=0.3, min_games_per_player=10,
-    stagger_starts=True, value_per_point=0.75, seed=14,
+    stagger_starts=True, seed=14,
 )
 
 
 @pytest.mark.parametrize("cfg, digest", [
     (POKER_6_SKILL,
-     "19091e49c129956468833f2b6ea763a8a718734bc8008e810cfa00f1b7ddefe8"),
+     "0c14e8304811a5b1722760c710f642cf20a3a35a521c18a2b0cf44ff082f2c9e"),
     (RUMMY_3_SKILL,
-     "b87f174742649b3b4fa68a76a9af4f9c897314373b12e29357ceb1dae64ee453"),
+     "c87b11abded968f4453805900b3a3bd159135dccbedb2938a56dd428601c42ca"),
     (POKER_HU_SKILL,
      "3a0a9561dcf9ef63a6a439e9767964eebc7a513c5387dbef1239bbea36841278"),
     (RUMMY_6_SKILL,
-     "ada962bb37984b2af76306715943e389e2df665e3bb10add40c1d1226cc2aaf3"),
+     "965959eec3023fa06e339bea9bb684ea451f0df5ba594ee79cf7d5f5675041c1"),
 ], ids=["poker", "rummy", "poker-hu", "rummy-6"])
 def test_simulate_bytes_pinned(cfg, digest):
     data, _ = simulate(cfg)
@@ -214,11 +212,8 @@ def test_simulate_holds_the_log_once(cfg):
               seed=22),
     SimConfig(game="poker", table_size=3, n_players=31, games_per_player=15,
               min_games_per_player=5, seed=23),
-    # losers with 0 points: value_delta is -0.0 on both paths
-    SimConfig(game="rummy", table_size=3, n_players=45, games_per_player=20,
-              mode="skill", skill_sd=2.0, points_cap=(0, 80), seed=5),
 ], ids=["poker", "rummy", "poker-hu-stagger-quotas", "rummy-6",
-        "poker-3-ragged", "rummy-zero-point-losers"])
+        "poker-3-ragged"])
 def test_simulated_timelines_match_csv_path(cfg):
     data, _ = simulate(cfg)
     parse = parse_poker_log if cfg.game == "poker" else parse_rummy_log
@@ -248,7 +243,7 @@ def test_simulated_timelines_match_csv_path(cfg):
                stagger_starts=True, seed=32),
      "105bdee3e0e6f40030f1d82f04cfe305ee244da817f1c4566439f07b592b5d56"),
     (POKER_6_SKILL,
-     "91ebb88765f2c915edc2782679f86f64fffd442b38a6406b8f4ce88a309fe4cf"),
+     "fd2b174e41e2298007c79c2f8f330274a3921d1b959620894c12e0525e678221"),
 ], ids=["poker-2-chance-quotas", "rummy-3-stagger", "poker-6-skill"])
 def test_simulate_timelines_pinned(cfg, digest):
     """The users and timeline reprs, in dict order, pinned by sha256."""
@@ -315,34 +310,10 @@ class TestConfigInvalid:
         with pytest.raises(ConfigInvalid):
             SimConfig(games_per_player=50, min_games_per_player=60).validate()
 
-    # Configs whose rows ingest would reject, or whose numbers could
-    # overflow while the log is written.
-    @pytest.mark.parametrize("name,settings", [
-        ("points_cap", dict(game="rummy", mode="skill", skill_sd=2.0,
-                            points_cap=(-10, 80), n_players=60,
-                            games_per_player=20, seed=5)),
-        ("value_per_point", dict(game="rummy", value_per_point=-0.5,
-                                 n_players=30, games_per_player=10)),
-        ("big_blind", dict(big_blind=1e308)),
-        ("value_per_point", dict(game="rummy", value_per_point=1e308)),
-        ("points_cap", dict(game="rummy", points_cap=(2, 10**400))),
-        ("points_cap", dict(game="rummy", table_size=6,
-                            points_cap=(2, 2**53 // 5 + 1))),
-    ], ids=["negative-points", "negative-value", "big-blind-overflow",
-            "value-overflow", "points-cap-401-digits", "points-past-2**53"])
-    def test_rows_that_ingest_rejects_or_cannot_be_written(self, name,
-                                                           settings):
-        with pytest.raises(ConfigInvalid) as exc:
-            SimConfig(**settings).validate()
-        assert exc.value.field_name == name
-
     @pytest.mark.parametrize("name,value", [
         ("n_players", "10"), ("n_players", 4.5), ("seed", True),
         ("min_games_per_player", 2.0), ("skill_sd", float("nan")),
-        ("big_blind", "2"), ("stagger_starts", "no"), ("points_cap", (2,)),
-        ("points_cap", (2, "80")), ("skill_overrides", ("a", "b")),
-        ("points_cap", (2.5, 80.5)), ("points_cap", (2.0, 80.0)),
-        ("points_cap", (True, 80)),
+        ("stagger_starts", "no"), ("skill_overrides", ("a", "b")),
     ])
     def test_field_type_named(self, name, value):
         with pytest.raises(ConfigInvalid) as exc:
@@ -350,20 +321,9 @@ class TestConfigInvalid:
         assert exc.value.field_name == name
 
 
-_MAX = sys.float_info.max
-
-
-def _edge(draw, common, rare):
-    """One of common, or about one time in ten one of rare: values at or
-    past the edge of the valid range."""
-    return draw(st.sampled_from(
-        rare if draw(st.integers(0, 9)) == 9 else common))
-
-
 @st.composite
 def small_configs(draw):
-    """Tiny cohorts of both games and every table size, with edge values of
-    the settings that shape the log's numbers, now and then invalid ones."""
+    """Tiny valid cohorts of both games and every table size."""
     size = draw(st.sampled_from([2, 3, 6]))
     games = draw(st.integers(1, 6))
     settings = dict(
@@ -379,15 +339,6 @@ def small_configs(draw):
             learning_curve=draw(st.sampled_from(["power", "exponential"])))
     if draw(st.booleans()):
         settings["min_games_per_player"] = draw(st.integers(1, games))
-    most = 2**53 // (size - 1)  # the largest valid high bound
-    high = _edge(draw, [1, 80, most], [most + 1, 10**400])
-    settings["points_cap"] = (_edge(draw, [0, min(2, high - 1), high - 1],
-                                    [-1, high]), high)
-    settings["big_blind"] = _edge(draw, [5e-324, 0.3, 2, 1e15 + 0.5,
-                                         _MAX / (10 * size)],
-                                  [_MAX / (10 * size - 1), 0.0, -2.0])
-    settings["value_per_point"] = _edge(draw, [0.0, 5e-324, 0.25, 3, 2**62,
-                                               _MAX / 2**53], [1e300, -0.5])
     return SimConfig(**settings)
 
 
@@ -395,13 +346,6 @@ def small_configs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_configs())
 def test_simulated_log_round_trips(cfg):
-    try:
-        cfg.validate()
-    except ConfigInvalid:
-        for build in (simulate, simulate_timelines):
-            with pytest.raises(ConfigInvalid):
-                build(cfg)
-        return
     data, _ = simulate(cfg)
     # simulate joins the texts unquoted: the log is what csv.writer writes
     # for its own rows, each as wide as the header, so no field holds a

@@ -24,7 +24,6 @@ from cardskill.stattests import (
     InsufficientPlayers,
     LengthMismatch,
     StatTestError,
-    TooFewPlayers,
     ZeroVariance,
     classify,
     fit_exponential,
@@ -508,7 +507,8 @@ class TestQQ:
             assert ps[i] + ps[n - 1 - i] == pytest.approx(1.0, abs=1e-15)
 
     def test_too_few_players(self):
-        with pytest.raises(TooFewPlayers):
+        with pytest.raises(InsufficientPlayers,
+                           match="^QQ test needs >= 20 players, got 10$"):
             qq_test([0.5] * 10)
 
     def test_identical_values_have_no_z_scores(self):
@@ -563,7 +563,9 @@ class TestQuantileSummary:
             math.sqrt(((0.1 - 0.2) ** 2 + (0.3 - 0.2) ** 2) / 1)))
 
     def test_too_few_players(self):
-        with pytest.raises(TooFewPlayers):
+        with pytest.raises(InsufficientPlayers,
+                           match="^4 quantile groups need >= 4 players, "
+                           "got 1$"):
             quantile_summary([(10, 0.5)], 4)
 
 
