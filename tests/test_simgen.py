@@ -140,7 +140,6 @@ def test_heads_up_closed_form():
     )
 
 
-# The digests pin the simulator's output bytes.
 POKER_6_SKILL = SimConfig(
     game="poker", table_size=6, n_players=60, games_per_player=40,
     mode="skill", skill_sd=0.8, learning_b=0.6, min_games_per_player=20,
