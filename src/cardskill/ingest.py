@@ -12,11 +12,12 @@ records.INVARIANTS is then tested over the chunk's columns as one mask. A
 row that the column pass or the mask rejects goes to the row validator
 (records.validate_*), which alone decides it and words its error, so the
 rows, counts and messages are those of a row-by-row parse. The accepted
-rows are returned as numpy columns (Rows), with no record per row; memory
-still grows with the log. Rows failing validation are counted and sampled
-(first 20 structured errors with line numbers), never fatal. A leading
-UTF-8 byte-order mark is skipped. Only a bad header, text that is not UTF-8
-or a field longer than csv.field_size_limit() (csv.Error) aborts a parse.
+rows are returned as numpy columns (Rows), with no record per row and no
+object per row but its text ids; memory still grows with the log. Rows
+failing validation are counted and sampled (first 20 structured errors with
+line numbers), never fatal. A leading UTF-8 byte-order mark is skipped.
+Only a bad header, text that is not UTF-8 or a field longer than
+csv.field_size_limit() (csv.Error) aborts a parse.
 
 build_cohort and build_timelines select the rows of one table size, code
 their players in user-id order, sort the rows at once by player and
@@ -157,7 +158,7 @@ def _floats(texts, bad: Set[int]) -> np.ndarray:
     return _mapped(_finite_float, float)(texts, bad)
 
 
-def _parsed(parse, dtype=object) -> Callable:
+def _parsed(parse, dtype) -> Callable:
     """_mapped(parse, dtype), but parsing each distinct text once when the
     column has at most half as many distinct texts as rows, as a few-valued
     int column or the repeated timestamps of a log has. A text that parse
@@ -186,7 +187,7 @@ def _lookup(enum_cls) -> Callable:
 # Each gives the array type that Rows holds for its kind.
 _CONVERTERS = {str: _texts, float: _floats, int: _parsed(int, np.int64),
                bool: _mapped({"1": True, "0": False}.__getitem__, bool),
-               Millis: _parsed(parse_timestamp)}
+               Millis: _parsed(parse_timestamp, np.int64)}
 
 
 def _broken(columns: Record) -> np.ndarray:
@@ -204,10 +205,8 @@ def _joined(pieces: List[np.ndarray]) -> np.ndarray:
 class Rows:
     """One record type's accepted rows as columns, in log order: columns is
     a record whose fields are numpy arrays. float and bool fields are of
-    their own dtype and int fields int64, or objects if an int does not fit.
-    str, Enum and Millis fields hold objects; where a chunk repeats its
-    timestamp texts, the rows of one text share its int, as do the outcomes
-    built from them.
+    their own dtype, Millis fields int64 and int fields int64, or objects if
+    an int does not fit. Only str and Enum fields hold objects.
 
     len(), iteration and indexing give the records that the row validator
     gives, with the same field types.
@@ -422,8 +421,7 @@ def _selected(table_size: int, parts: Tuple[Rows, ...]
     cols = _Joined(parts, None if keep.all() else keep)
     ties, outcome_columns = TIMELINE[cols.record]
     users, code = _coded(cols.user_id.tolist())
-    order = _sorted_rows(code, np.array(cols.game_start, np.int64), cols,
-                         ties)
+    order = _sorted_rows(code, cols.game_start, cols, ties)
     won, delta, voluntary = outcome_columns(cols)
     return (users, np.bincount(code, minlength=len(users)).tolist(), order,
             Outcome(won, delta, cols.game_start, voluntary))
@@ -435,7 +433,7 @@ def _shared_codes(won: np.ndarray, delta: np.ndarray, stamp: np.ndarray,
     bits of their fields (so -0.0 and 0.0 differ), and each row's index
     among them."""
     key = np.zeros(len(won), np.int64)  # ends under 6 * rows**2
-    for column in (delta.view(np.int64), np.asarray(stamp, np.int64)):
+    for column in (delta.view(np.int64), stamp):
         # With return_inverse, np.unique sorts rather than hashes: faster.
         values, code = np.unique(column, return_inverse=True)
         key *= len(values)
@@ -464,14 +462,13 @@ def assemble_timelines(table_size: int, users: list, counts: list,
                        ) -> Dict[str, PlayerTimeline]:
     """The table_size timelines of users, in order: each takes the next of
     counts rows of order. columns is an Outcome of the rows' outcome
-    columns: won (bool), value_delta (float), timestamp (int64, or objects
-    holding ints) and voluntary_entry (bool, or objects: True, False or
-    None). The outcomes have Python bool, float, int and None fields.
+    columns: won (bool), value_delta (float), timestamp (int64) and
+    voluntary_entry (bool, or objects: True, False or None). The outcomes
+    have Python bool, float, int and None fields.
 
     One Outcome is built per distinct outcome, from a row of it, and every
     row of it refers to that one; both OUTCOME_BLOCK rows at a time. So
     equal outcomes may be one object: never rely on `is`."""
-    columns = tuple(map(np.asarray, columns, (bool, np.float64, None, None)))
     first, code = _shared_codes(*columns)
 
     def made(rows: np.ndarray) -> Iterator[Outcome]:
@@ -501,11 +498,10 @@ def gather_cohort(users: list, counts: list, order: np.ndarray,
                   columns: Outcome) -> Cohort:
     """The Cohort of assemble_timelines' arguments but the table size, with
     no outcome object built."""
+    won, delta, stamp, voluntary = columns
     return Cohort(users, np.cumsum([0] + counts), Outcome(
-        np.asarray(columns.won, bool)[order],
-        np.asarray(columns.value_delta)[order],
-        np.asarray(columns.timestamp, np.int64)[order],
-        np.asarray(columns.voluntary_entry, float)[order]))
+        won[order], delta[order], stamp[order],
+        np.asarray(voluntary, float)[order]))
 
 
 def build_cohort(table_size: int, *parts: Rows) -> Cohort:

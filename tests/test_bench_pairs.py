@@ -123,6 +123,31 @@ def test_fewer_than_one_pair_exits_2(tmp_path, capsys, pairs):
     assert not out.exists()
 
 
+def test_a_repeated_workload_runs_once(tmp_path):
+    """--workload w --workload v --workload w runs w's pairs, then v's,
+    once each, so the summary reads every run of the file."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 2, "end_to_end": METRICS}))
+    out = tmp_path / "b.json"
+    record = {"metrics": {"wall_s": {"value": 1.0},
+                          "rows_per_s": {"value": 2.0}}}
+    with mock.patch.object(bench_pairs, "run_once",
+                           return_value=record) as run_once:
+        assert bench_pairs.main([
+            str(tmp_path / "p"), str(tmp_path), "--workload", "w",
+            "--workload", "v", "--workload", "w", "--seed", "1",
+            "--pairs", "2", "--out", str(out)]) == 0
+    parent, change = str(tmp_path / "p"), str(tmp_path)
+    assert [c.args for c in run_once.call_args_list] == [
+        (parent, "w", 1, 2), (change, "w", 1, 2),
+        (change, "w", 1, 2), (parent, "w", 1, 2),
+        (parent, "v", 1, 2), (change, "v", 1, 2),
+        (change, "v", 1, 2), (parent, "v", 1, 2)]
+    doc = json.loads(out.read_text())
+    assert [(r["workload"], r["pair"]) for r in doc["runs"]] == \
+        [(w, p) for w in "wv" for p in (0, 0, 1, 1)]
+    assert list(doc["summary"]) == ["w", "v"]
+
 
 def _stub_run(failures):
     """subprocess.run stubbed to a perfbench run that exits 0 with a record

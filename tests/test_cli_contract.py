@@ -300,6 +300,17 @@ def test_quantile_groups_fail_before_the_bootstrap(poker_2_log, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_bin_width_above_max_games_is_a_usage_error(tmp_path, capsys):
+    """No bin of --bin-width games is complete when no player may have that
+    many: the flags are refused before any log is read."""
+    argv = _analyze(str(tmp_path / "missing.csv"), str(tmp_path / "out"),
+                    "--bin-width", "101")
+    assert exit_code(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: --bin-width 101 is above --max-games 100\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("month,empty", [("2022-12", "A"), ("2023-02", "B")])
 def test_split_outside_the_data_names_the_split(poker_2_log, tmp_path,
                                                 capsys, month, empty):

@@ -51,15 +51,20 @@ def rummy_csv(rows):
     return ("\n".join(out) + "\n").encode()
 
 
+def _record_log(records):
+    """The log that to_row writes for records."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(type(records[0])._fields)
+    writer.writerows(rec.to_row() for rec in records)
+    return buf.getvalue().encode()
+
+
 def _rows(records):
     """Rows holding records, parsed from the log that to_row writes."""
     record = type(records[0])
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(record._fields)
-    writer.writerows(rec.to_row() for rec in records)
     parse = parse_poker_log if record is PokerHandRecord else parse_rummy_log
-    rows, stats = parse(buf.getvalue().encode())
+    rows, stats = parse(_record_log(records))
     assert stats.rows_rejected == 0 and list(rows) == records
     return rows
 
@@ -160,7 +165,7 @@ def test_rows_read_as_the_validator_records():
 
 # The dtype of each field kind's Rows column; an Enum's is object.
 _COLUMN_DTYPES = {str: object, float: np.float64, bool: np.bool_,
-                  int: np.int64, Millis: object}
+                  int: np.int64, Millis: np.int64}
 
 
 @pytest.mark.parametrize("parse,log,base", [
@@ -233,6 +238,37 @@ def test_parse_peak_memory_is_bounded_by_its_result(game, table_size):
         tracemalloc.stop()
     assert len(rows) >= 20_900
     assert peak <= 3.2 * kept
+
+
+_STAMPS = [name for name, kind, _, _ in FIELDS[records.RummyDealRecord]
+           if kind is Millis]
+
+
+def test_distinct_stamps_are_int64_columns():
+    """A rummy log whose rows all carry distinct stamps: the four stamp
+    columns are int64, the records those of the row validator with int
+    stamps, and the parse keeps at most 320 bytes a row, where a Python int
+    a stamp would keep about 436."""
+    recs = [r._replace(**{name: getattr(r, name) + i for name in _STAMPS})
+            for i, r in enumerate(_simulated("rummy", 3))]
+    data = _record_log(recs)
+    tracemalloc.start()
+    try:
+        rows, stats = parse_rummy_log(data)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stats.rows_rejected == 0 and len(rows) >= 19_900
+    for name in _STAMPS:
+        column = getattr(rows.columns, name)
+        assert column.dtype == np.int64, name
+        assert len(set(column.tolist())) == len(rows), name
+    expect = [validate_rummy_record(row) for row
+              in csv.DictReader(io.StringIO(data.decode()))]
+    assert list(rows) == expect
+    assert all(type(getattr(rec, name)) is int
+               for rec in (rows[0], *rows) for name in _STAMPS)
+    assert kept <= 320 * len(rows)
 
 
 def _poker_rows(user_id, n, start_hour=0):
@@ -463,21 +499,38 @@ def test_build_peak_memory_is_its_result(game, table_size):
 
 def test_build_of_distinct_outcomes_peak_memory():
     """With every outcome distinct (distinct chip amounts, distinct start
-    times), nothing is shared: the timelines keep about 114 bytes a row, as
-    with one Outcome a row, and the build peaks at 160 at most: sharing
-    stages a code and a reference a row that nothing repeated pays back."""
-    recs = _simulated("poker", 2)
-    n = len(recs)
-    cols = recs.columns
-    start = np.array(cols.game_start, np.int64)
-    start += np.random.default_rng(3).permutation(n) * 7
-    recs = Rows(recs.record, cols._replace(
-        chips_won=cols.chips_won + np.arange(n) / 64,
-        game_start=np.array(start.tolist(), object)))
-    timelines, kept, peak = _traced_build(2, recs)
+    and end times), nothing is shared. Traced from the parse on, so that
+    each stamp's int counts wherever it is made: the rows and the timelines
+    keep at most 375 bytes a row (about 391 with a Python int a stamp in
+    the rows), and the timelines alone at most 147 once the rows are
+    dropped, about 114 of it one Outcome a row. The build peaks at 420 a
+    row, the rows it reads included: sharing stages a code and a
+    reference a row that nothing repeated pays back."""
+    rows = _simulated("poker", 2)
+    n = len(rows)
+    shift = (np.random.default_rng(3).permutation(n) * 7).tolist()
+    data = _record_log([r._replace(chips_won=r.chips_won + i / 64,
+                                   game_start=r.game_start + s,
+                                   game_end=r.game_end + s)
+                        for i, (r, s) in enumerate(zip(rows, shift))])
+    del rows
+    tracemalloc.start()
+    try:
+        rows, stats = parse_poker_log(data)
+        tracemalloc.reset_peak()
+        timelines = build_timelines(2, rows)
+        kept, peak = tracemalloc.get_traced_memory()
+        del rows
+        alone = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stats.rows_rejected == 0
     assert sum(map(len, timelines.values())) == n
-    assert kept <= 120
-    assert peak <= 160
+    assert len({o.timestamp for tl in timelines.values()
+                for o in tl.outcomes}) == n
+    assert kept <= 375 * n
+    assert alone <= 147 * n
+    assert peak <= 420 * n
 
 
 @pytest.mark.parametrize("config", [

@@ -3,16 +3,16 @@
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --seed 23 \\
         --pairs 10 --out BENCH_N.json --what "..."
 
-For each workload in turn (``--workload W``, repeatable; by default every
-workload of ``BENCHMARK.json`` in CHANGE_DIR), runs ``perfbench/run.py
---workload W --seed S --seconds T --trace 0`` in PARENT_DIR and in
-CHANGE_DIR, ``--pairs`` times each, swapping which side goes first every
-pair (the parent first in pair 0); T is ``BENCHMARK.json``'s
-``run_seconds``. Every run's ``record`` line is kept with its side, run
-order and pair index. The summary gives, for each end-to-end metric that
-``BENCHMARK.json`` lists, the median and quartiles (inclusive method) of
-each side's runs, the number of pairs in which the change read better, and
-the no-regression check: the change's median shift in the metric's worse
+For each workload in turn (``--workload W``, repeatable, each name taken
+once, in order; by default every workload of ``BENCHMARK.json`` in
+CHANGE_DIR), runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` in PARENT_DIR and in CHANGE_DIR, ``--pairs`` times each,
+swapping which side goes first every pair (the parent first in pair 0); T
+is ``BENCHMARK.json``'s ``run_seconds``. Every run's ``record`` line is
+kept with its side, run order and pair index. The summary gives, for each
+end-to-end metric that ``BENCHMARK.json`` lists, the median and quartiles
+(inclusive method) of each side's runs, the number of pairs in which the
+change read better, and the no-regression check: the change's median shift in the metric's worse
 direction as a share of the parent's median (``worse_shift``, negative when
 the change is better), and whether that is at most the metric's ``bound``
 (``within_bound``). Two more fields apply the review rules:
@@ -143,7 +143,8 @@ def main(argv=None) -> int:
     doc = {"what": args.what,
            "command": COMMAND.replace("<seconds>", f"{seconds:g}"),
            "host": host(), "summary": {}, "runs": []}
-    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+    for workload in dict.fromkeys(
+            args.workload or [w["name"] for w in bench["workloads"]]):
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 record = run_once(dirs[side], workload, args.seed, seconds)
