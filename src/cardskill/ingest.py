@@ -112,20 +112,21 @@ CHUNK_ROWS = 8192
 
 def _mapped(parse, dtype=object) -> Callable:
     """A column converter: parse over the column in one map() call or, if
-    some text fails, text by text, with each failing row put in bad and 0 in
-    its place. The column is an array of dtype, or of objects if an int
-    does not fit it."""
+    some text fails or an int does not fit dtype, text by text, with each
+    failing row put in bad and 0 in its place. The column is an array of
+    dtype, or of objects if an int does not fit it."""
     def convert(texts, bad: Set[int]):
         try:
-            values = list(map(parse, texts))
-        except (ValueError, KeyError):
-            values = []
-            for i, text in enumerate(texts):
-                try:
-                    values.append(parse(text))
-                except (ValueError, KeyError):
-                    values.append(0)
-                    bad.add(i)
+            return np.fromiter(map(parse, texts), dtype, len(texts))
+        except (ValueError, KeyError, OverflowError):
+            pass
+        values = []
+        for i, text in enumerate(texts):
+            try:
+                values.append(parse(text))
+            except (ValueError, KeyError):
+                values.append(0)
+                bad.add(i)
         try:
             return np.fromiter(values, dtype, len(values))
         except OverflowError:
@@ -139,23 +140,12 @@ def _texts(texts, bad: Set[int]) -> np.ndarray:
     return np.fromiter(texts, object, len(texts))
 
 
-def _finite_float(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(text)
-    return x
-
-
 def _floats(texts, bad: Set[int]) -> np.ndarray:
-    # _mapped(_finite_float, float), with one finiteness test per column at
-    # best.
-    try:
-        values = np.fromiter(map(float, texts), float, len(texts))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    return _mapped(_finite_float, float)(texts, bad)
+    """_mapped(float, float), with each row whose value is not finite put
+    in bad."""
+    values = _mapped(float, float)(texts, bad)
+    bad.update(np.flatnonzero(~np.isfinite(values)).tolist())
+    return values
 
 
 def _parsed(parse, dtype) -> Callable:

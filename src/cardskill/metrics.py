@@ -66,19 +66,16 @@ def column(outcomes, name: str) -> np.ndarray:
 
 class Segments(NamedTuple):
     """Segments [starts[i], stops[i]) of a run of outcomes (a sequence of
-    Outcomes or a Cohort), in their own order or the given one. Counts are
-    integer cumsum differences; sums are the built-in sum of each segment's
-    values in run order, as numpy's pairwise sums would move low-order
-    bits."""
+    Outcomes or a Cohort), in their own order. Counts are integer cumsum
+    differences; sums are the built-in sum of each segment's values in run
+    order, as numpy's pairwise sums would move low-order bits."""
 
     outcomes: Sequence[Outcome]
     starts: np.ndarray
     stops: np.ndarray
-    order: Optional[np.ndarray] = None
 
     def column(self, name: str) -> np.ndarray:
-        values = column(self.outcomes, name)
-        return values if self.order is None else values[self.order]
+        return column(self.outcomes, name)
 
     def lengths(self) -> List[int]:
         return (self.stops - self.starts).tolist()

@@ -28,7 +28,6 @@ from .metrics import (
     Segments,
     column,
     SkillSeries,
-    percentile_position,
     rank_average,
     sample_mean_std,
     theoretical_quantile,
@@ -310,8 +309,9 @@ def persistence_test(
 ) -> PersistenceResult:
     """Correlate a per-player skill variable across the two periods either
     side of the split (resolve_split), over players with >= min_games in
-    each period and the metric defined in both. Timelines need not be in
-    time order.
+    each period and the metric defined in both. Each player's outcomes must
+    be in time order, as every Cohort and timeline producer gives them; a
+    player whose stamps ever decrease raises ValueError.
 
     The players are read as one run, and the percentile CI comes from
     n_boot resamples of the players, drawn in blocks of about BOOT_BLOCK
@@ -333,16 +333,16 @@ def persistence_test(
             f"{'AB'[int(not in_b.any())]} empty: the outcomes run from "
             f"{format_timestamp(ts.min())} to {format_timestamp(ts.max())}")
     player = np.repeat(np.arange(len(users)), np.diff(bounds))
-    # A stable sort on (player, period) keeps each player's outcomes at
-    # bounds[i]:bounds[i + 1], period A before period B, each in timeline
-    # order.
-    order = np.argsort(2 * player + in_b, kind="stable")
+    for i in np.flatnonzero((ts[1:] < ts[:-1])
+                            & (player[1:] == player[:-1]))[:1]:
+        raise ValueError(f"the outcomes of player {users[player[i]]!r} are "
+                         f"not in time order")
     mid = bounds[1:] - np.bincount(player[in_b], minlength=len(users))
     q = np.nonzero((mid - bounds[:-1] >= min_games)
                    & (bounds[1:] - mid >= min_games))[0]
     values = metric_fn.segments(Segments(
         run, np.concatenate((bounds[q], mid[q])),
-        np.concatenate((mid[q], bounds[q + 1])), order))
+        np.concatenate((mid[q], bounds[q + 1]))))
     pairs = [(i, a, b) for i, a, b in zip(q.tolist(), values,
                                           values[len(q):])
              if a is not None and b is not None]
@@ -355,8 +355,7 @@ def persistence_test(
         )
     paired, xs, ys = zip(*pairs)
     users_paired = [users[i] for i in paired]
-    in_pair = np.isin(np.arange(len(users)), paired)[player]
-    ta, tb = ts[in_pair & ~in_b], ts[in_pair & in_b]
+    p = np.array(paired)
     xs, ys = np.array(xs), np.array(ys)
     for i in np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))[:1]:
         raise StatTestError(f"{metric} of player {users_paired[i]!r} in "
@@ -385,8 +384,8 @@ def persistence_test(
     return PersistenceResult(
         r=r,
         n_players=n,
-        period_a=(int(ta.min()), int(ta.max())),
-        period_b=(int(tb.min()), int(tb.max())),
+        period_a=(int(ts[bounds[p]].min()), int(ts[mid[p] - 1].max())),
+        period_b=(int(ts[mid[p]].min()), int(ts[bounds[p + 1] - 1].max())),
         min_games=min_games,
         bootstrap_ci95=(lo, hi),
         metric=metric,
@@ -553,8 +552,7 @@ def qq_test(
     mean, sd = sample_mean_std(values.tolist())
     if sd == 0.0:
         raise ZeroVariance("all win rates identical")
-    percentiles = np.array([percentile_position(i, n)
-                            for i in range(1, n + 1)])
+    percentiles = (np.arange(1, n + 1) - 0.5) / n
     theo = np.array([theoretical_quantile(p) for p in percentiles.tolist()])
     obs = (values - mean) / sd
     r_squared = pearson(theo, obs) ** 2

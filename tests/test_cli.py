@@ -189,8 +189,8 @@ def test_reports_are_rfc4180_parsable(sim_dir, tmp_path):
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
-def test_only_simulate_timelines_pauses_gc(sim_dir, tmp_path, monkeypatch,
-                                           capsys, caller_gc):
+def test_nothing_touches_the_collector(sim_dir, tmp_path, monkeypatch,
+                                       capsys, caller_gc):
     """Nothing in cardskill touches the collector: main and
     simulate_timelines leave it as the caller set it, whether they return
     or raise, and run with it so."""

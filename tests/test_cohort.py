@@ -216,9 +216,9 @@ def _poker_log(rows):
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_two_buckets_and_tied_rows():
-    """Two parts, two table sizes: only the asked bucket is kept, and rows
-    of one player that share a game_start keep build_timelines' order."""
+def _tied_parts():
+    """Two parsed logs of 2- and 6-seat rows, several of one player sharing
+    a game_start, none in time order."""
     def row(user, game, size, hour):
         return {**POKER_ROW, "user_id": user, "game_id": game,
                 "max_players": str(size), "num_players": "2",
@@ -228,7 +228,13 @@ def test_two_buckets_and_tied_rows():
     log_a = [row("b", "g9", 6, 3), row("a", "g5", 6, 3), row("a", "g2", 6, 3),
              row("a", "g7", 2, 1), row("b", "g1", 6, 2)]
     log_b = [row("a", "g4", 6, 3), row("c", "g3", 2, 4), row("a", "g0", 6, 1)]
-    parts = [parse_poker_log(_poker_log(log))[0] for log in (log_a, log_b)]
+    return [parse_poker_log(_poker_log(log))[0] for log in (log_a, log_b)]
+
+
+def test_two_buckets_and_tied_rows():
+    """Two parts, two table sizes: only the asked bucket is kept, and rows
+    of one player that share a game_start keep build_timelines' order."""
+    parts = _tied_parts()
     for size in (2, 6):
         timelines = build_timelines(size, *parts)
         cohort = build_cohort(size, *parts)
@@ -242,6 +248,33 @@ def test_two_buckets_and_tied_rows():
     assert cohort.columns.value_delta[:4].tolist() == [-5.0, -4.0, -3.0, -2.5]
     empty = build_cohort(3, *parts)
     assert len(empty) == 0 and not filter_min_games(empty, 1)
+
+
+def _stamps_by_player(cohort):
+    if isinstance(cohort, Cohort):
+        return np.split(cohort.columns.timestamp, cohort.bounds[1:-1])
+    return [[o.timestamp for o in tl.outcomes] for tl in cohort.values()]
+
+
+@pytest.mark.parametrize("config", SHAPES + [None], ids=[
+    f"{c.game}-{c.table_size}{'-staggered' * c.stagger_starts}"
+    for c in SHAPES] + ["two-parts-tied"])
+def test_every_producer_gives_time_order(config):
+    """Each player's stamps never decrease in what build_cohort,
+    build_timelines, simulate_cohort, simulate_timelines and
+    filter_min_games give, which persistence_test relies on."""
+    if config is None:
+        size, parts, produced = 6, _tied_parts(), []
+    else:
+        size, parts = config.table_size, [_parsed(config)]
+        produced = [simulate_cohort(config), simulate_timelines(config)]
+    cohort = build_cohort(size, *parts)
+    produced += [cohort, build_timelines(size, *parts),
+                 filter_min_games(cohort, 3, 30)]
+    for made in produced:
+        stamps = _stamps_by_player(made)
+        assert stamps
+        assert all((np.diff(s) >= 0).all() for s in stamps)
 
 
 def test_analyze_builds_no_timeline(tmp_path):

@@ -715,25 +715,53 @@ def test_column_pass_matches_row_validator(parse, columns, values, validate,
     (parse_rummy_log, RUMMY_ROW, validate_rummy_record, "\r\n"),
     (parse_poker_log, POKER_ROW, validate_poker_record, "\n"),
     (parse_rummy_log, RUMMY_ROW, validate_rummy_record, "\n"),
-], ids=["poker", "rummy", "poker-lf", "rummy-lf"])
+    (parse_poker_log, {"big_blind": "2", **POKER_ROW}, validate_poker_record,
+     "\n"),
+], ids=["poker", "rummy", "poker-lf", "rummy-lf", "poker-lf-float-first"])
 def test_each_odd_text_matches_row_validator(parse, base, validate, end):
-    """Every odd text in every column, one per row, between clean rows.
-    With \n line ends the chunks are plain until the first quoted text."""
+    """Every odd text in every column, one per row, between clean rows,
+    with every error sampled. With \n line ends the chunks are plain until
+    the first quoted text, so a float first column takes its non-finite
+    texts on the plain path; every other column takes them on csv.reader's.
+    Each is rejected as not a finite number."""
     columns = list(base)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator=end)
     writer.writerow(columns)
+    line, next_line = {}, 2  # line: (column, odd text) to its row's line
     for name in columns:
         for text in _ODD_TS + _ODD_NUMBER + _ODD_WORD:
+            line[name, text] = next_line
+            next_line += 2
             writer.writerow([text if c == name else base[c] for c in columns])
             writer.writerow([base[c] for c in columns])
     log = buf.getvalue().encode("utf-8")
-    with mock.patch.object(ingest, "CHUNK_ROWS", 7):
+    plain = []  # the rows of each plain chunk
+    plain_columns = ingest._plain_columns
+
+    def spy(lines, width, n):
+        table = plain_columns(lines, width, n)
+        plain.append(0 if table is None else len(lines))
+        return table
+
+    with mock.patch.object(ingest, "CHUNK_ROWS", 7), \
+            mock.patch.object(ingest, "ERROR_SAMPLE_LIMIT", len(log)), \
+            mock.patch.object(ingest, "_plain_columns", spy):
         recs, stats = parse(log)
-    ref_recs, ref_stats = _reference_parse(log, columns, validate)
+        ref_recs, ref_stats = _reference_parse(log, columns, validate)
     assert repr(list(recs)) == repr(ref_recs)
     assert stats.as_dict() == ref_stats.as_dict()
     assert stats.rows_rejected > 0 and stats.rows_accepted > stats.rows_read / 2
+    errors = {e.line: str(e.error) for e in stats.first_error_samples}
+    floats = [name for name, kind, _, _ in FIELDS[recs.record]
+              if kind is float]
+    on_plain_path = set()
+    for name in floats:
+        for text in ("nan", "inf", "-inf", "1e400"):
+            assert errors[line[name, text]] == \
+                f"field {name}: cannot parse {text!r} as finite number"
+            on_plain_path.add(line[name, text] < 2 + sum(plain))
+    assert on_plain_path == {False, columns[0] in floats and end == "\n"}
 
 
 def _plain_log(base, rows, odd_row=None, odd=""):

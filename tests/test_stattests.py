@@ -704,6 +704,9 @@ class TestSegmentForm:
     @given(cohort=_cohorts(), metric=st.sampled_from(sorted(METRICS)),
            min_games=st.integers(1, 3))
     def test_persistence_pairs_and_spans(self, cohort, metric, min_games):
+        cohort = {u: PlayerTimeline(u, tl.table_size, tuple(sorted(
+            tl.outcomes, key=lambda o: o.timestamp)))
+            for u, tl in cohort.items()}
         pairs, period_a, period_b = _reference_split(cohort, SPLIT_MS, metric,
                                                      min_games)
 
@@ -798,6 +801,24 @@ def test_unpaired_players_leave_the_spans():
                            metric="avg_points_lost_losing")
     assert res.users == ("p0", "p1", "p2")
     assert (res.period_a, res.period_b) == ((10, 13), (100, 103))
+
+
+@pytest.mark.parametrize("stamps", [[100, 10, 11, 101], [11, 10, 100, 101]],
+                         ids=["b-before-a", "within-a"])
+def test_outcomes_out_of_time_order_are_rejected(stamps):
+    """A player whose stamps decrease is named, whether an outcome of
+    period B comes before one of period A or period A is out of order."""
+    def player(deltas, stamps):
+        return PlayerTimeline("u", 2, tuple(
+            Outcome(d > 0, d, t) for d, t in zip(deltas, stamps)))
+
+    cohort = {f"p{i}": player([1.0, -i - 1.0] * 2, [10, 11, 100, 101])
+              for i in range(3)}
+    cohort["late"] = player([1.0, -5.0, 1.0, -6.0], stamps)
+    with pytest.raises(ValueError, match="^the outcomes of player 'late' "
+                                         "are not in time order$"):
+        persistence_test(cohort, split=SPLIT_MS, min_games=2, n_boot=50,
+                         metric="avg_points_lost_losing")
 
 
 class TestZeroVarianceBootstrap:
